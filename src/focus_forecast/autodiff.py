@@ -4,11 +4,18 @@ Just the ops the forecaster needs: batched matmul, axis permutation,
 reshape, broadcast-aware arithmetic, sigmoid, last-axis softmax, layer
 norm, row gather, last-axis concat, and full-mean reduction. Every op
 accepts arbitrary leading batch dimensions.
+
+A 2-D matmul operand shared across batch axes (a weight) gets its
+gradient from one contraction over the batch and row axes, a single
+GEMM, never from a per-batch product that is summed afterwards. Forward
+values never depend on whether gradients are recorded.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ShapeError
 
 _GRAD_ENABLED = True
 
@@ -52,7 +59,11 @@ class Tensor:
         return matmul(self, other)
 
     def backward(self, grad: np.ndarray | None = None):
-        """Accumulate gradients into every tensor reachable from this one."""
+        """Accumulate gradients into every tensor reachable from this one.
+
+        grad seeds this tensor's gradient (ones when omitted); it must have
+        this tensor's shape and is used as float64.
+        """
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -68,7 +79,15 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        self.grad = np.ones_like(self.data) if grad is None else np.asarray(grad)
+        if grad is None:
+            seed = np.ones_like(self.data)
+        else:
+            seed = np.asarray(grad, dtype=np.float64)
+            if seed.shape != self.data.shape:
+                raise ShapeError(
+                    f"seed gradient has shape {seed.shape}, tensor has {self.data.shape}"
+                )
+        self.grad = seed
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -86,6 +105,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    # a transposed 2-D view sends numpy's batched matmul down a path ~1.5-2.5x
+    # slower than a contiguous copy; batched views cost nothing extra
+    t = np.swapaxes(x, -1, -2)
+    return np.ascontiguousarray(t) if x.ndim == 2 else t
 
 
 def _wire(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -150,10 +176,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bw(g):
+        lead = tuple(range(g.ndim - 2))
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            if a.data.ndim == 2 and lead:
+                # contract g (..., n, m) with b (..., k, m) over batch and m
+                last = (g.ndim - 1,)
+                ga = np.tensordot(g, b.data, axes=(lead + last, lead + last))
+            else:
+                ga = _unbroadcast(g @ _swap_last(b.data), a.data.shape)
+            _accum(a, ga)
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            if b.data.ndim == 2 and lead:
+                # rows of every batch entry stack into one (rows, k) operand
+                gb = a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(_swap_last(a.data) @ g, b.data.shape)
+            _accum(b, gb)
 
     return _wire(out, (a, b), bw)
 
@@ -191,8 +229,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y)
 
     def bw(g):
@@ -217,18 +255,25 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize over the last axis, then apply elementwise gain and bias."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    """Normalize over the last axis, then apply elementwise (d,) gain and bias."""
+    d = a.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeError(
+            f"gain {gain.data.shape} and bias {bias.data.shape} must both be ({d},)"
+        )
+    # centre once and scale in place: np.var's own algorithm on the centred
+    # values (bit-identical to it), and no extra full-size array stays live
+    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    xhat *= inv
     out = Tensor(xhat * gain.data + bias.data)
 
     def bw(g):
         if gain.requires_grad:
-            _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
+            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
+            _accum(bias, g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
             gy = g * gain.data
             m1 = gy.mean(axis=-1, keepdims=True)
@@ -239,17 +284,25 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """out[..., i, :] = a[..., idx[..., i], :] with integer idx."""
+    """out[..., i, :] = a[..., idx[..., i], :] with integer idx in [0, k).
+
+    a is (..., k, d) and idx is (..., rows) with the same leading axes.
+    """
     idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(np.take_along_axis(a.data, idx[..., None], axis=-2))
+    lead, (k, d) = a.data.shape[:-2], a.data.shape[-2:]
+    if idx.shape[:-1] != lead:
+        raise ShapeError(f"index leading shape {idx.shape[:-1]} does not match {lead}")
+    # a bad index would read another batch entry's rows, not raise
+    if idx.size and (idx.min() < 0 or idx.max() >= k):
+        raise ShapeError(f"row index out of range [0, {k})")
+    # row idx of batch entry j is row j * k + idx of the flattened (-1, d) view
+    offsets = (np.arange(int(np.prod(lead))) * k).reshape(lead + (1,))
+    out = Tensor(a.data.reshape(-1, d)[(idx + offsets).ravel()].reshape(idx.shape + (d,)))
 
     def bw(g):
         if a.requires_grad:
-            gx = np.zeros_like(a.data)
-            sel = list(np.indices(g.shape, sparse=False))
-            sel[-2] = np.broadcast_to(idx[..., None], g.shape)
-            np.add.at(gx, tuple(sel), g)
-            _accum(a, gx)
+            one_hot = (idx[..., None, :] == np.arange(k)[:, None]).astype(np.float64)
+            _accum(a, one_hot @ g)
 
     return _wire(out, (a,), bw)
 

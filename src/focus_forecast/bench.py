@@ -8,15 +8,21 @@ an ablation of the correlation term in prototype fitting.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
+import functools
+import glob
+import os
 import time
-from contextlib import nullcontext
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 try:
     from threadpoolctl import threadpool_limits
-except ImportError:  # pragma: no cover - dependency is declared, belt and braces
+except ImportError:  # optional extra; OpenBLAS is then pinned through ctypes
     threadpool_limits = None
 
 from .clustering import PrototypeSet, _assign_arr, fit, pearson_corr
@@ -40,12 +46,58 @@ TIMED_REPS = 7
 SWEEP_MODES = ("protoattn", "full_attn", "end_to_end")
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Looks where numpy's wheels keep the library, then on the loader path,
+    under both the scipy-openblas and the plain symbol prefixes. Warns once
+    when there is nothing to pin.
+    """
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+    found = ctypes.util.find_library("openblas")
+    for path in libs + ([found] if found else []):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    warnings.warn(
+        "BLAS threads are not pinned: neither threadpoolctl nor an OpenBLAS "
+        "library was found, so timings may use several threads",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return None
+
+
+@contextmanager
 def _single_thread():
     # pin BLAS to one thread so wall-clock scaling reflects arithmetic, not
     # parallel speedup kicking in at larger sizes
-    if threadpool_limits is None:
-        return nullcontext()
-    return threadpool_limits(limits=1)
+    if threadpool_limits is not None:
+        with threadpool_limits(limits=1):
+            yield
+        return
+    fns = _openblas_threads()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    prev = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(prev)
 
 
 @dataclass(frozen=True)

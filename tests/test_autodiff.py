@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from focus_forecast import autodiff as ad
 from focus_forecast.autodiff import Tensor
+from focus_forecast.errors import ShapeError
+from focus_forecast.model import forward
 
 
 def fd(fn, x, h=1e-6):
@@ -83,6 +85,20 @@ def test_matmul_grad_broadcast_lhs():
     check_grad(ad.matmul, (3, 4), (2, 4, 5))
 
 
+def test_matmul_grad_4d_input_times_weight():
+    # the model's entity-branch shape: a weight shared by two batch axes
+    check_grad(ad.matmul, (2, 3, 4, 5), (5, 3))
+
+
+def test_matmul_grad_weight_times_4d_input():
+    # queries (k, d) against (batch, rows, d, seg) keys
+    check_grad(ad.matmul, (3, 4), (2, 3, 4, 5))
+
+
+def test_matmul_grad_4d_input_times_transposed_view():
+    check_grad(lambda a, b: ad.matmul(a, ad.transpose_last(b)), (3, 4), (2, 3, 5, 4))
+
+
 def test_transpose_last_grad():
     check_grad(ad.transpose_last, (2, 3, 4))
 
@@ -110,6 +126,21 @@ def test_layer_norm_grads_all_three_slots():
 def test_gather_rows_grad_with_duplicate_indices():
     idx = np.array([[1, 0, 1, 2], [2, 2, 0, 1]])
     check_grad(lambda a: ad.gather_rows(a, idx), (2, 3, 4))
+
+
+def test_layer_norm_grads_4d():
+    check_grad(ad.layer_norm, (2, 3, 4, 8), (8,), (8,), tol=1e-6)
+
+
+def test_gather_rows_grad_two_leading_axes_and_unused_bucket():
+    # k=4 buckets; bucket 3 is never selected, so its gradient rows are 0
+    idx = np.array([[[0, 2, 2, 1, 0], [1, 1, 0, 2, 2]], [[2, 0, 1, 1, 1], [0, 0, 0, 2, 1]],
+                    [[1, 2, 0, 0, 2], [2, 1, 1, 0, 0]]])
+    check_grad(lambda a: ad.gather_rows(a, idx), (3, 2, 4, 6))
+    a = Tensor(np.random.default_rng(4).standard_normal((3, 2, 4, 6)), requires_grad=True)
+    ad.mean_all(ad.gather_rows(a, idx)).backward()
+    assert np.all(a.grad[..., 3, :] == 0.0)
+    assert np.all(a.grad[..., :3, :] != 0.0)
 
 
 def test_concat_last_grad():
@@ -151,10 +182,63 @@ def test_layer_norm_standardizes_tokens():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
 
 
+def test_layer_norm_forward_matches_np_var_formula_bitwise():
+    rng = np.random.default_rng(8)
+    x, gain, bias = rng.standard_normal((3, 4, 5, 16)) * 3 + 1, rng.standard_normal(16), rng.standard_normal(16)
+    ref = (x - x.mean(axis=-1, keepdims=True)) * (
+        1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-8)
+    ) * gain + bias
+    out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    assert np.array_equal(out, ref)
+
+
 def test_gather_rows_selects():
     x = np.arange(12.0).reshape(4, 3)
     out = ad.gather_rows(Tensor(x), np.array([3, 0, 0])).data
     np.testing.assert_array_equal(out, x[[3, 0, 0]])
+
+
+def test_gather_rows_forward_equals_take_along_axis_bitwise():
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((3, 5, 16, 8))
+    idx = rng.integers(0, 16, size=(3, 5, 7))
+    out = ad.gather_rows(Tensor(a), idx).data
+    ref = np.take_along_axis(a, idx[..., None], axis=-2)
+    assert out.shape == ref.shape
+    assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize(
+    "idx", [np.array([[0, 4]]), np.array([[-1, 0]]), np.array([0, 1]), np.array([[[0, 1]]])]
+)
+def test_gather_rows_rejects_bad_indices(idx):
+    with pytest.raises(ShapeError):
+        ad.gather_rows(Tensor(np.zeros((1, 4, 2))), idx)
+
+
+def test_layer_norm_rejects_gain_not_matching_last_axis():
+    with pytest.raises(ShapeError):
+        ad.layer_norm(Tensor(np.zeros((2, 8))), Tensor(np.ones((2, 8))), Tensor(np.zeros(8)))
+
+
+def test_sigmoid_matches_reference_formula_bitwise():
+    x = np.random.default_rng(7).standard_normal(1000) * 20
+    ref = np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.abs(x))),
+        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+    )
+    assert np.array_equal(ad.sigmoid(Tensor(x)).data, ref)
+
+
+def test_model_forward_is_bit_identical_with_and_without_grad(tiny_model):
+    params, x, _ = tiny_model
+    with_grad = forward(params, x)
+    assert with_grad.requires_grad
+    with ad.no_grad():
+        without = forward(params, x)
+    assert not without.requires_grad
+    assert np.array_equal(with_grad.data, without.data)
 
 
 # -------------------------------------------------------- graph mechanics
@@ -181,6 +265,21 @@ def test_backward_with_custom_seed_gradient():
     seed = np.array([[1.0, 2.0], [3.0, 4.0]])
     y.backward(seed)
     np.testing.assert_array_equal(x.grad, 3.0 * seed)
+
+
+def test_backward_rejects_seed_of_wrong_shape():
+    x = Tensor(np.ones(3), requires_grad=True)
+    y = ad.scale(x, 2.0)
+    with pytest.raises(ShapeError):
+        y.backward(np.ones(2))
+    assert x.grad is None
+
+
+def test_backward_casts_seed_to_float64():
+    x = Tensor(np.ones(3), requires_grad=True)
+    ad.scale(x, 2.0).backward(np.array([1.0, 2.0, 3.0], dtype=np.float32))
+    assert x.grad.dtype == np.float64
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
 
 def test_no_grad_suppresses_graph():

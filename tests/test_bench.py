@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from focus_forecast import bench
 from focus_forecast.bench import (
     TIMED_REPS,
     WARMUP_REPS,
@@ -25,6 +26,25 @@ from focus_forecast.protoattn import count_flops, count_flops_full
 
 def hyper_at(l, n=4):
     return HyperParams(p=8, d=16, m=2, k=4, lookback=l * 8, horizon=8, n_entities=n)
+
+
+# ------------------------------------------------------------ BLAS pinning
+
+
+def test_single_thread_pins_openblas_without_threadpoolctl(monkeypatch):
+    monkeypatch.setattr(bench, "threadpool_limits", None)
+    fns = bench._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy is not linked against a loadable OpenBLAS")
+    get, set_ = fns
+    before = get()
+    try:
+        set_(2)
+        with bench._single_thread():
+            assert get() == 1
+        assert get() == 2
+    finally:
+        set_(before)
 
 
 # ------------------------------------------------------------ cost model
