@@ -3,6 +3,15 @@
 Alternates hard bucket assignment under a composite metric (squared
 Euclidean distance plus a weighted Pearson-correlation penalty) with AdamW
 refinement of the prototypes against a reconstruction + correlation loss.
+
+The segments never change during a fit, so `fit` computes their squared
+norms and centred-unit rows once and every distance, assignment and
+bucket-statistics pass reuses them; each iteration takes one statistics
+pass, shared by the loss and its gradient. Bucket sums are one flat
+`np.bincount` per array, which adds the rows in segment order and so
+equals `np.add.at` bit for bit. The public functions run the same
+arithmetic on invariants they compute per call, so they equal `fit`'s
+internal path bit for bit.
 """
 
 from __future__ import annotations
@@ -97,23 +106,36 @@ def distance(seg: np.ndarray, proto: np.ndarray, alpha: float) -> float:
     return float(np.dot(diff, diff) + alpha * (1.0 - pearson_corr(seg, proto)))
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return (x * x).sum(axis=1)
+
+
+def _distances(
+    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray, alpha: float
+) -> np.ndarray:
+    """distance_matrix given the segments' squared norms and centred-unit rows."""
+    d = sq[:, None] - 2.0 * segments @ protos.T + (protos * protos).sum(axis=1)[None, :]
+    np.maximum(d, 0.0, out=d)
+    corr = unit @ _center_unit(protos).T
+    return d + alpha * (1.0 - corr)
+
+
 def distance_matrix(segments: np.ndarray, protos: np.ndarray, alpha: float) -> np.ndarray:
     """Pairwise composite distances, (n, k)."""
-    sq = (
-        (segments * segments).sum(axis=1)[:, None]
-        - 2.0 * segments @ protos.T
-        + (protos * protos).sum(axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    corr = _center_unit(segments) @ _center_unit(protos).T
-    return sq + alpha * (1.0 - corr)
+    return _distances(segments, _sq_norms(segments), _center_unit(segments), protos, alpha)
 
 
-def _assign_arr(segments: np.ndarray, protos: np.ndarray, alpha: float) -> BucketState:
-    d = distance_matrix(segments, protos, alpha)
+def _nearest(
+    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray, alpha: float
+) -> BucketState:
+    d = _distances(segments, sq, unit, protos, alpha)
     idx = np.argmin(d, axis=1)  # argmin takes the lowest index on ties
     sizes = np.bincount(idx, minlength=protos.shape[0]).astype(np.int64)
     return BucketState(assignment=idx.astype(np.int64), bucket_sizes=sizes)
+
+
+def _assign_arr(segments: np.ndarray, protos: np.ndarray, alpha: float) -> BucketState:
+    return _nearest(segments, _sq_norms(segments), _center_unit(segments), protos, alpha)
 
 
 def assign(segments: SegmentMatrix, protos: PrototypeSet) -> BucketState:
@@ -123,20 +145,27 @@ def assign(segments: SegmentMatrix, protos: PrototypeSet) -> BucketState:
     return _assign_arr(segments.segments, protos.prototypes, protos.alpha)
 
 
-def _bucket_stats(segments: np.ndarray, idx: np.ndarray, k: int):
-    """Per-bucket counts, segment sums, and sums of centered-unit rows."""
+def _bucket_stats(segments: np.ndarray, unit: np.ndarray, idx: np.ndarray, k: int):
+    """Per-bucket counts, segment sums, and sums of centered-unit rows.
+
+    Each sum is one bincount over flat (bucket, column) bins, which adds
+    rows in segment order: the same additions as np.add.at, far cheaper.
+    """
+    p = segments.shape[1]
     counts = np.bincount(idx, minlength=k).astype(np.float64)
-    sums = np.zeros((k, segments.shape[1]))
-    np.add.at(sums, idx, segments)
-    unit = _center_unit(segments)
-    unit_sums = np.zeros_like(sums)
-    np.add.at(unit_sums, idx, unit)
-    return counts, sums, unit, unit_sums
+    bins = (idx[:, None] * p + np.arange(p)).ravel()
+    sums = np.bincount(bins, weights=segments.ravel(), minlength=k * p).reshape(k, p)
+    unit_sums = np.bincount(bins, weights=unit.ravel(), minlength=k * p).reshape(k, p)
+    return counts, sums, unit_sums
 
 
-def _loss_arr(segments: np.ndarray, protos: np.ndarray, alpha: float, idx: np.ndarray):
-    k = protos.shape[0]
-    counts, sums, unit, unit_sums = _bucket_stats(segments, idx, k)
+def _public_stats(segments: SegmentMatrix, protos: PrototypeSet, buckets: BucketState):
+    segs = segments.segments
+    return _bucket_stats(segs, _center_unit(segs), buckets.assignment, protos.k)
+
+
+def _loss(stats, protos: np.ndarray, alpha: float) -> tuple[float, float, float]:
+    counts, sums, unit_sums = stats
     nonempty = counts > 0
     means = np.where(nonempty[:, None], sums / np.maximum(counts, 1.0)[:, None], protos)
     diff = protos - means
@@ -157,16 +186,11 @@ def clustering_loss(
     mean; correlation is the negated per-bucket mean Pearson correlation.
     Empty buckets contribute zero to both terms.
     """
-    return _loss_arr(
-        segments.segments, protos.prototypes, protos.alpha, buckets.assignment
-    )
+    return _loss(_public_stats(segments, protos, buckets), protos.prototypes, protos.alpha)
 
 
-def _loss_grad_arr(
-    segments: np.ndarray, protos: np.ndarray, alpha: float, idx: np.ndarray
-) -> np.ndarray:
-    k, p = protos.shape
-    counts, sums, unit, unit_sums = _bucket_stats(segments, idx, k)
+def _loss_grad(stats, protos: np.ndarray, alpha: float) -> np.ndarray:
+    counts, sums, unit_sums = stats
     nonempty = counts > 0
     means = np.where(nonempty[:, None], sums / np.maximum(counts, 1.0)[:, None], protos)
     grad = 2.0 * (protos - means)
@@ -191,13 +215,12 @@ def clustering_loss_grad(
     segments: SegmentMatrix, protos: PrototypeSet, buckets: BucketState
 ) -> np.ndarray:
     """Analytic gradient of the total loss w.r.t. each prototype row."""
-    return _loss_grad_arr(
-        segments.segments, protos.prototypes, protos.alpha, buckets.assignment
-    )
+    return _loss_grad(_public_stats(segments, protos, buckets), protos.prototypes, protos.alpha)
 
 
 def _init_prototypes(
-    segments: np.ndarray, k: int, alpha: float, rng: np.random.Generator
+    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, k: int, alpha: float,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Greedy farthest-point seeding under the composite metric.
 
@@ -207,30 +230,31 @@ def _init_prototypes(
     """
     n = segments.shape[0]
     chosen = [int(rng.integers(n))]
-    d = distance_matrix(segments, segments[chosen], alpha)[:, 0]
+    d = _distances(segments, sq, unit, segments[chosen], alpha)[:, 0]
     d[chosen[0]] = -np.inf
     for _ in range(1, k):
         nxt = int(np.argmax(d))
         chosen.append(nxt)
-        d = np.minimum(d, distance_matrix(segments, segments[[nxt]], alpha)[:, 0])
+        d = np.minimum(d, _distances(segments, sq, unit, segments[[nxt]], alpha)[:, 0])
         d[nxt] = -np.inf
     return segments[np.asarray(chosen)].astype(np.float64).copy()
 
 
 def _repair_empty(
-    segments: np.ndarray, protos: np.ndarray, alpha: float, state: BucketState
+    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray,
+    alpha: float, state: BucketState,
 ) -> tuple[np.ndarray, BucketState]:
     """Re-seed empty buckets to the segments farthest from their prototype."""
     empties = np.flatnonzero(state.bucket_sizes == 0)
     if empties.size == 0:
         return protos, state
-    d = distance_matrix(segments, protos, alpha)
+    d = _distances(segments, sq, unit, protos, alpha)
     own = d[np.arange(d.shape[0]), state.assignment]
     order = np.argsort(-own, kind="stable")
     protos = protos.copy()
     for j, seg_i in zip(empties, order):
         protos[j] = segments[seg_i]
-    return protos, _assign_arr(segments, protos, alpha)
+    return protos, _nearest(segments, sq, unit, protos, alpha)
 
 
 def fit(
@@ -258,13 +282,16 @@ def fit(
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     opt = opt if opt is not None else CLUSTER_OPT_DEFAULTS
+    sq, unit = _sq_norms(segs), _center_unit(segs)
     rng = seed_stream(seed, "init")
-    protos = _init_prototypes(segs, k, alpha, rng)
+    protos = _init_prototypes(segs, sq, unit, k, alpha, rng)
+
+    def loss_at(protos: np.ndarray):
+        state = _nearest(segs, sq, unit, protos, alpha)
+        return _loss(_bucket_stats(segs, unit, state.assignment, k), protos, alpha)[0]
 
     if max_iters == 0:
-        state = _assign_arr(segs, protos, alpha)
-        total, _, _ = _loss_arr(segs, protos, alpha, state.assignment)
-        return PrototypeSet(protos, alpha, FitMeta(0, total, seed))
+        return PrototypeSet(protos, alpha, FitMeta(0, loss_at(protos), seed))
 
     adam = AdamW(opt)
     losses: list[float] = []
@@ -273,9 +300,10 @@ def fit(
     iters = 0
     for it in range(max_iters):
         iters = it + 1
-        state = _assign_arr(segs, protos, alpha)
-        protos, state = _repair_empty(segs, protos, alpha, state)
-        total, _, _ = _loss_arr(segs, protos, alpha, state.assignment)
+        state = _nearest(segs, sq, unit, protos, alpha)
+        protos, state = _repair_empty(segs, sq, unit, protos, alpha, state)
+        stats = _bucket_stats(segs, unit, state.assignment, k)
+        total = _loss(stats, protos, alpha)[0]
         losses.append(total)
         if total < best_loss:
             best_loss = total
@@ -284,11 +312,9 @@ def fit(
             prev = losses[-1 - _TOL_WINDOW]
             if (prev - total) < tol * max(abs(prev), 1e-12):
                 break
-        grad = _loss_grad_arr(segs, protos, alpha, state.assignment)
-        adam.step({"prototypes": protos}, {"prototypes": grad})
+        adam.step({"prototypes": protos}, {"prototypes": _loss_grad(stats, protos, alpha)})
 
-    state = _assign_arr(segs, protos, alpha)
-    total, _, _ = _loss_arr(segs, protos, alpha, state.assignment)
+    total = loss_at(protos)
     if total < best_loss:
         best_loss = total
         best = protos.copy()

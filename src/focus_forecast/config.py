@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .clustering import CLUSTER_OPT_DEFAULTS, DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .errors import ConfigError, ParseError
 from .optim import OptimizerConfig
 
@@ -23,9 +24,9 @@ class RunConfig:
     p: int = 16
     k: int = 16
     alpha: float = 0.2
-    cluster_lr: float = 1e-2
-    cluster_max_iters: int = 500
-    cluster_tol: float = 1e-5
+    cluster_lr: float = CLUSTER_OPT_DEFAULTS.lr
+    cluster_max_iters: int = DEFAULT_MAX_ITERS
+    cluster_tol: float = DEFAULT_TOL
     # forecaster
     d: int = 64
     m: int = 6
@@ -57,8 +58,8 @@ class RunConfig:
         )
 
     def cluster_optimizer(self) -> OptimizerConfig:
-        # weight decay stays 0 for prototypes; see the clustering module
-        return OptimizerConfig(lr=self.cluster_lr, weight_decay=0.0, seed=self.seed)
+        # everything but lr and seed, weight decay included, is clustering's
+        return replace(CLUSTER_OPT_DEFAULTS, lr=self.cluster_lr, seed=self.seed)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}

@@ -9,6 +9,7 @@ and a file must be consumed exactly. Scalars travel as rank-0 entries.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -88,7 +89,10 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError(f"{path}: tensor name is not valid UTF-8") from None
         if name in tensors:
             raise ContainerError(f"{path}: duplicate tensor name '{name}'")
         code = r.take(1)[0]
@@ -97,9 +101,13 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
         rank = r.u32()
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank))
         dtype = _CODE_TO_DTYPE[code]
-        n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize if rank else dtype.itemsize
-        arr = np.frombuffer(r.take(n_bytes), dtype=dtype).reshape(dims).copy()
-        tensors[name] = arr
+        # Python ints, so huge dims cannot wrap into a small size; take()
+        # rejects a size beyond the bytes that remain
+        payload = np.frombuffer(r.take(math.prod(dims) * dtype.itemsize), dtype=dtype)
+        try:
+            tensors[name] = payload.reshape(dims).copy()
+        except ValueError:  # zero-size, but a dim beyond what numpy can index
+            raise ContainerError(f"{path}: tensor '{name}' has unsupported dims {dims}") from None
     if r.off != len(buf):
         raise ContainerError(f"{path}: {len(buf) - r.off} trailing bytes")
     return tensors

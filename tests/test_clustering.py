@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from focus_forecast import clustering
 from focus_forecast.clustering import (
+    CLUSTER_OPT_DEFAULTS,
     FitMeta,
     PrototypeSet,
     assign,
@@ -21,6 +23,7 @@ from focus_forecast.clustering import (
 )
 from focus_forecast.data import generate_synthetic, segment
 from focus_forecast.errors import ConfigError
+from focus_forecast.optim import AdamW
 
 from conftest import make_segments
 
@@ -193,6 +196,28 @@ def test_loss_ignores_empty_buckets():
     assert np.isfinite(total) and np.isfinite(rec) and np.isfinite(corr)
 
 
+def test_bucket_sums_equal_add_at_bit_for_bit():
+    # bucket 3 stays empty and bucket 4 holds one segment; rows span six
+    # decades and buckets hold thousands of rows, so any other summation
+    # order (a blocked one-hot GEMM, say) rounds differently
+    rng = np.random.default_rng(12)
+    n = 20_000
+    segs = rng.standard_normal((n, 16)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    idx = rng.integers(0, 3, size=n)
+    idx[123] = 4
+    unit = clustering._center_unit(segs)
+    counts, sums, unit_sums = clustering._bucket_stats(segs, unit, idx, 5)
+    want_sums = np.zeros((5, 16))
+    np.add.at(want_sums, idx, segs)
+    want_unit = np.zeros((5, 16))
+    np.add.at(want_unit, idx, unit)
+    assert counts.tolist() == np.bincount(idx, minlength=5).tolist()
+    assert counts[3] == 0 and counts[4] == 1
+    assert sums.tobytes() == want_sums.tobytes()
+    assert unit_sums.tobytes() == want_unit.tobytes()
+    assert sums[4].tobytes() == segs[123].tobytes()
+
+
 # -------------------------------------------------------------- gradient
 
 
@@ -330,6 +355,50 @@ def test_fit_recovers_noiseless_templates():
         assert rms <= 1e-3
 
 
+def _fit_from_public_calls(sm, start, alpha, iters):
+    """fit's loop rebuilt from assign, distance_matrix, clustering_loss,
+    clustering_loss_grad and AdamW, with the convergence stop off.
+    Returns the best prototypes, their loss, and the repairs made."""
+    def at(protos):
+        return PrototypeSet(protos.copy(), alpha=alpha)
+
+    protos = start.copy()
+    adam = AdamW(CLUSTER_OPT_DEFAULTS)
+    best, best_loss, repairs = protos.copy(), np.inf, 0
+    for _ in range(iters):
+        buckets = assign(sm, at(protos))
+        empties = np.flatnonzero(buckets.bucket_sizes == 0)
+        if empties.size:
+            d = distance_matrix(sm.segments, protos, alpha)
+            own = d[np.arange(sm.n), buckets.assignment]
+            protos = protos.copy()
+            protos[empties] = sm.segments[np.argsort(-own, kind="stable")[: empties.size]]
+            buckets = assign(sm, at(protos))
+            repairs += empties.size
+        total = clustering_loss(sm, at(protos), buckets)[0]
+        if total < best_loss:
+            best, best_loss = protos.copy(), total
+        grad = clustering_loss_grad(sm, at(protos), buckets)
+        adam.step({"prototypes": protos}, {"prototypes": grad})
+    total = clustering_loss(sm, at(protos), assign(sm, at(protos)))[0]
+    if total < best_loss:
+        best, best_loss = protos.copy(), total
+    return best, best_loss, repairs
+
+
+def test_fit_equals_loop_of_public_calls_bit_for_bit():
+    # noiseless, with k above the 4 planted templates, so buckets go empty
+    res = generate_synthetic(4, 800, 4, 0.0, seed=5)
+    sm = segment(res.dataset.values, 16)
+    start = fit(sm, 6, 0.2, max_iters=0, seed=1).prototypes
+    best, best_loss, repairs = _fit_from_public_calls(sm, start, 0.2, 12)
+    out = fit(sm, 6, 0.2, max_iters=12, tol=float("-inf"), seed=1)
+    assert repairs > 0
+    assert out.prototypes.tobytes() == best.tobytes()
+    assert out.fit_meta.final_loss == best_loss
+    assert out.fit_meta.iterations == 12
+
+
 def test_fit_result_is_read_only():
     sm, _ = _planted_segments(3)
     out = fit(sm, 4, 0.2, max_iters=10, seed=0)
@@ -338,21 +407,28 @@ def test_fit_result_is_read_only():
 
 
 def test_loss_evaluation_time_scales_linearly():
+    """Doubling n about doubles the loss evaluation time.
+
+    Both sizes put every full-size array (38 and 77 MB) beyond L2 and
+    beyond glibc malloc's 32 MiB ceiling for reusing freed heap blocks, so
+    each call of either size works on freshly mapped pages. Between those
+    limits (20k/40k straddles the 4 MiB L2, 80k/160k the heap ceiling) the
+    ratio times a memory-regime cliff instead of O(n). Small and big calls
+    alternate, so a change in host speed hits both medians alike.
+    """
     rng = np.random.default_rng(11)
-    small = rng.standard_normal((20_000, 16))
-    big = rng.standard_normal((40_000, 16))
     protos = PrototypeSet(rng.standard_normal((8, 16)), alpha=0.2)
+    cases = []
+    for n in (300_000, 600_000):
+        sm = make_segments(rng.standard_normal((n, 16)))
+        cases.append((sm, protos, assign(sm, protos)))
 
-    def median_eval_ns(arr):
-        sm = make_segments(arr)
-        state = assign(sm, protos)
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter_ns()
-            clustering_loss(sm, protos, state)
-            times.append(time.perf_counter_ns() - t0)
-        return np.median(times)
+    def eval_ns(case):
+        t0 = time.perf_counter_ns()
+        clustering_loss(*case)
+        return time.perf_counter_ns() - t0
 
-    median_eval_ns(small)  # warm the caches before measuring
-    ratio = median_eval_ns(big) / median_eval_ns(small)
+    eval_ns(cases[0])  # warm up before measuring
+    times = np.array([[eval_ns(case) for case in cases] for _ in range(7)])
+    ratio = np.median(times[:, 1]) / np.median(times[:, 0])
     assert 1.6 <= ratio <= 2.4

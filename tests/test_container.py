@@ -111,6 +111,37 @@ def test_read_error_paths(tmp_path):
             read_container(path)
 
 
+def _one_entry(name: bytes, dims: tuple[int, ...], payload: bytes = b"") -> bytes:
+    out = b"FOCS" + struct.pack("<II", 1, 1)
+    out += struct.pack("<I", len(name)) + name + struct.pack("<BI", 0, len(dims))
+    return out + struct.pack(f"<{len(dims)}Q", *dims) + payload
+
+
+def _read_blob(tmp_path, blob: bytes):
+    path = tmp_path / "t.bin"
+    path.write_bytes(blob)
+    return read_container(path)
+
+
+def test_read_rejects_name_that_is_not_utf8(tmp_path):
+    with pytest.raises(ContainerError, match="UTF-8"):
+        _read_blob(tmp_path, _one_entry(b"\xff\xfe", (1,), b"\x00" * 8))
+
+
+def test_read_rejects_dims_whose_int64_product_overflows(tmp_path):
+    # the int64 product 2**62 * 4 wraps to 0, matching the empty payload
+    with pytest.raises(ContainerError):
+        _read_blob(tmp_path, _one_entry(b"x", (2**62, 4)))
+
+
+def test_read_rejects_dim_beyond_numpy_index_range(tmp_path):
+    with pytest.raises(ContainerError):
+        _read_blob(tmp_path, _one_entry(b"x", (2**63,)))
+    # zero-size payload, so only the shape itself is unrepresentable
+    with pytest.raises(ContainerError):
+        _read_blob(tmp_path, _one_entry(b"x", (2**63, 0)))
+
+
 def test_read_missing_file(tmp_path):
     with pytest.raises((ContainerError, OSError)):
         read_container(tmp_path / "nope.bin")
