@@ -162,16 +162,24 @@ def estimate_peak_bytes(l: int, k: int, d: int, p: int, mode: str = "proto") -> 
 
 
 def count_forward_flops(h: HyperParams) -> int:
-    """Multiply-add count for one full forecaster forward pass."""
-    temporal = h.n_entities * (h.l * h.p * h.d + count_flops(h.l, h.k, h.d, h.p).total)
-    entity = h.l * (
-        h.n_entities * h.p * h.d + count_flops(h.n_entities, h.k, h.d, h.p).total
-    )
+    """Multiply-add count for one forecaster forward pass over one window.
+
+    Counts what `model.forward` runs on its n = N*l segments: the
+    composite-distance assignment and the input embedding, once; per
+    branch, the two absorbed weight products (the (k, p) raw-space
+    queries and the (p, d) value map), the p-wide scores and values and
+    the bucket aggregation, k rows per segment group; then the readout,
+    the gate (with its bias and blend) and the head.
+    """
+    n = h.n_entities * h.l
+    shared = 2 * n * h.k * h.p + 2 * n * h.p + n * h.p * h.d
+    weights = 2 * h.k * h.p * h.d + 2 * h.k * h.d * h.d + 2 * h.p * h.d * h.d
+    branch = weights + n * (h.k * h.p + h.p * h.d + h.k * h.d)
     fusion = h.n_entities * (
         4 * h.m * h.l * h.d + h.m * (2 * h.d * h.d + h.d) + 2 * h.m * h.d
     )
     head = h.n_entities * (h.m * h.d * h.horizon + h.horizon)
-    return temporal + entity + fusion + head
+    return shared + 2 * branch + fusion + head
 
 
 def estimate_model_peak_bytes(h: HyperParams) -> int:

@@ -90,6 +90,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read config file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()

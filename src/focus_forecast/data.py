@@ -81,43 +81,51 @@ def load_csv(path: str) -> TimeSeriesDataset:
     Every data cell must parse as a finite real; ragged or malformed rows
     raise ParseError naming the offending row (1-based file line) or cell.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected a header row") from None
-        names = [h.strip() for h in header]
-        if not names or any(n == "" for n in names):
-            raise ParseError(f"{path}: header row has empty entity names", row=1)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(names):
-                raise ParseError(
-                    f"{path}: row {lineno} has {len(row)} cells, expected {len(names)}",
-                    row=lineno,
-                )
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {lineno}, column '{names[j]}': "
-                        f"cannot parse {cell!r} as a real number",
-                        row=lineno,
-                        column=names[j],
-                    ) from None
-                if not math.isfinite(v):
-                    raise ParseError(
-                        f"{path}: row {lineno}, column '{names[j]}': non-finite value {cell!r}",
-                        row=lineno,
-                        column=names[j],
-                    )
-                parsed.append(v)
-            rows.append(parsed)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            names, rows = _parse_csv_rows(csv.reader(fh), path)
+    except UnicodeDecodeError as e:
+        # the reader decodes lazily, so any row can raise it
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
     return TimeSeriesDataset(values=values, entity_names=names)
+
+
+def _parse_csv_rows(reader, path: str) -> tuple[list[str], list[list[float]]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file, expected a header row") from None
+    names = [h.strip() for h in header]
+    if not names or any(n == "" for n in names):
+        raise ParseError(f"{path}: header row has empty entity names", row=1)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != len(names):
+            raise ParseError(
+                f"{path}: row {lineno} has {len(row)} cells, expected {len(names)}",
+                row=lineno,
+            )
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {lineno}, column '{names[j]}': "
+                    f"cannot parse {cell!r} as a real number",
+                    row=lineno,
+                    column=names[j],
+                ) from None
+            if not math.isfinite(v):
+                raise ParseError(
+                    f"{path}: row {lineno}, column '{names[j]}': non-finite value {cell!r}",
+                    row=lineno,
+                    column=names[j],
+                )
+            parsed.append(v)
+        rows.append(parsed)
+    return names, rows
 
 
 def _split_indices(t: int, ratio: tuple[float, float, float]) -> tuple[int, int]:

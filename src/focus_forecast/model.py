@@ -1,11 +1,18 @@
 """Two-branch forecaster over prototype attention.
 
 A lookback window is cut two ways: per entity into l temporal segments,
-and per time block into one segment per entity. Both branches run the
-same prototype-attention kernel (separate projection weights, shared
-input embedding), get a residual + layer norm, and are reduced by m
-readout queries. A sigmoid gate blends the branch features before the
-linear forecast head.
+and per time block into one segment per entity. Both cuts hold the same
+(N, l) grid of length-p segments, so a forward pass segments, assigns
+and embeds once, and the entity branch reads that grid with its N and l
+axes swapped. Both branches run the same prototype-attention kernel
+(separate projection weights, shared input embedding), get a residual +
+layer norm, and are reduced by m readout queries. A sigmoid gate blends
+the branch features before the linear forecast head.
+
+The input embedding is linear, so each branch absorbs it, with the key
+and output projections, into two small weight products (see `_branch`):
+the per-segment products then run at width p, not d. Only the order of
+exact products changes, not the function or its parameters.
 """
 
 from __future__ import annotations
@@ -141,42 +148,74 @@ def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _branch(params: ModelParams, raw_segs: np.ndarray, prefix: str) -> Tensor:
-    """Prototype attention + residual + layer norm over (..., rows, p) segments."""
+def _segment(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Tensor]:
+    """Check a window and cut it into (batch, N, l, p) temporal segments.
+
+    Returns the segments, their prototype indices (batch, N, l) and their
+    shared embedding (batch, N, l, d). The entity branch reads all three
+    with the N and l axes swapped.
+    """
+    x = _check_input(params, x)
+    h = params.hyper
+    raw = x.transpose(0, 2, 1).reshape(x.shape[0], h.n_entities, h.l, h.p)
+    protos = params.protos
+    idx = _assign_arr(raw.reshape(-1, h.p), protos.prototypes, protos.alpha).assignment
+    embedded = ad.matmul(ad.constant(raw), params.tensors["w_in"])
+    return raw, idx.reshape(raw.shape[:-1]), embedded
+
+
+def _branch(
+    params: ModelParams, raw: np.ndarray, idx: np.ndarray, embedded: Tensor, prefix: str
+) -> Tensor:
+    """Prototype attention + residual + layer norm over (..., rows, p) segments.
+
+    With E = raw w_in the embedded segments and Q = P w_in w_e the
+    prototype queries, attention is softmax(Q (E w_k)^T / sqrt(d)) (E w_v) w_o.
+    Every map from raw to scores and values is linear, so both fold into
+    two weight products that are computed once per call:
+    Q (E w_k)^T = (Q w_k^T w_in^T) raw^T, a (k, p) query against raw
+    segments, and (S E w_v) w_o = S (raw (w_in w_v w_o)), a (p, d) value
+    map. The large products then run at width p instead of d. Gradients
+    reach every weight through the two small products.
+    """
     t = params.tensors
     h = params.hyper
-    flat = raw_segs.reshape(-1, h.p)
-    idx = _assign_arr(flat, params.protos.prototypes, params.protos.alpha).assignment
-    idx = idx.reshape(raw_segs.shape[:-1])
-
-    embedded = ad.matmul(ad.constant(raw_segs), t["w_in"])
-    protos_emb = ad.matmul(ad.constant(params.protos.prototypes), t["w_in"])
-    queries = ad.matmul(protos_emb, t[f"{prefix}_we"])  # (k, d)
-    keys = ad.matmul(embedded, t[f"{prefix}_wk"])
-    values = ad.matmul(embedded, t[f"{prefix}_wv"])
-    scores = ad.scale(ad.matmul(queries, ad.transpose_last(keys)), 1.0 / np.sqrt(h.d))
-    bucket_out = ad.matmul(ad.matmul(ad.softmax(scores), values), t[f"{prefix}_wo"])
+    w_in = t["w_in"]
+    queries = ad.matmul(ad.constant(params.protos.prototypes), w_in)
+    queries = ad.matmul(queries, t[f"{prefix}_we"])  # (k, d)
+    q_raw = ad.matmul(
+        ad.matmul(queries, ad.transpose_last(t[f"{prefix}_wk"])), ad.transpose_last(w_in)
+    )  # (k, p)
+    w_val = ad.matmul(ad.matmul(w_in, t[f"{prefix}_wv"]), t[f"{prefix}_wo"])  # (p, d)
+    scores = ad.scale(
+        ad.matmul(q_raw, ad.constant(np.swapaxes(raw, -1, -2))), 1.0 / np.sqrt(h.d)
+    )
+    bucket_out = ad.matmul(ad.softmax(scores), ad.matmul(ad.constant(raw), w_val))
     gathered = ad.gather_rows(bucket_out, idx)
     return ad.layer_norm(
         ad.add(gathered, embedded), t[f"ln_{prefix}_gain"], t[f"ln_{prefix}_bias"]
     )
 
 
+def _entity(params: ModelParams, raw: np.ndarray, idx: np.ndarray, embedded: Tensor) -> Tensor:
+    out = _branch(
+        params,
+        raw.transpose(0, 2, 1, 3),
+        idx.transpose(0, 2, 1),
+        ad.permute(embedded, (0, 2, 1, 3)),
+        "e",
+    )  # (batch, l, N, d)
+    return ad.permute(out, (0, 2, 1, 3))
+
+
 def extract_temporal(params: ModelParams, x: np.ndarray) -> Tensor:
     """Per-entity temporal-segment features, (batch, N, l, d)."""
-    x = _check_input(params, x)
-    h = params.hyper
-    raw = x.transpose(0, 2, 1).reshape(x.shape[0], h.n_entities, h.l, h.p)
-    return _branch(params, raw, "t")
+    return _branch(params, *_segment(params, x), "t")
 
 
 def extract_entity(params: ModelParams, x: np.ndarray) -> Tensor:
     """Cross-entity features per time block, returned as (batch, N, l, d)."""
-    x = _check_input(params, x)
-    h = params.hyper
-    raw = x.reshape(x.shape[0], h.l, h.p, h.n_entities).transpose(0, 1, 3, 2)
-    out = _branch(params, raw, "e")  # (batch, l, N, d)
-    return ad.permute(out, (0, 2, 1, 3))
+    return _entity(params, *_segment(params, x))
 
 
 def fuse_and_forecast(params: ModelParams, h_t: Tensor, h_e: Tensor) -> Tensor:
@@ -199,9 +238,9 @@ def fuse_and_forecast(params: ModelParams, h_t: Tensor, h_e: Tensor) -> Tensor:
 
 def forward(params: ModelParams, x: np.ndarray) -> Tensor:
     """Full forward pass: (batch, lookback, N) -> (batch, horizon, N)."""
-    h_t = extract_temporal(params, x)
-    h_e = extract_entity(params, x)
-    return fuse_and_forecast(params, h_t, h_e)
+    raw, idx, embedded = _segment(params, x)
+    h_t = _branch(params, raw, idx, embedded, "t")
+    return fuse_and_forecast(params, h_t, _entity(params, raw, idx, embedded))
 
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:

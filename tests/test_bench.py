@@ -66,6 +66,17 @@ def test_forward_flops_affine_in_entities():
     assert f[1] > f[0] > 0
 
 
+def test_forward_flops_at_a_small_geometry():
+    # p=2, d=3, k=4, m=1, l=3, N=2, horizon=2, so n = N*l = 6 segments.
+    # shared: assignment 2*n*k*p + 2*n*p = 96 + 24, embedding n*p*d = 36 -> 156
+    # per branch: weight products 2*k*p*d + 2*k*d^2 + 2*p*d^2 = 48 + 72 + 36 = 156,
+    #   scores n*k*p + values n*p*d + aggregation n*k*d = 48 + 36 + 72 = 156 -> 312
+    # fusion: N*(4*m*l*d + m*(2*d^2 + d) + 2*m*d) = 2*(36 + 21 + 6) = 126
+    # head: N*(m*d*horizon + horizon) = 2*(6 + 2) = 16
+    h = HyperParams(p=2, d=3, m=1, k=4, lookback=6, horizon=2, n_entities=2)
+    assert count_forward_flops(h) == 156 + 2 * 312 + 126 + 16
+
+
 def test_peak_bytes_modes_and_validation():
     proto = estimate_peak_bytes(512, 16, 64, 16, "proto")
     full = estimate_peak_bytes(512, 16, 64, 16, "full")

@@ -158,6 +158,16 @@ def test_missing_data_file_is_io_failure(pipeline, tmp_path):
     assert "error:" in err
 
 
+def test_data_file_that_is_not_utf8_is_io_failure(pipeline, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"a,b\n1,\xff\n")
+    code, _, err = run(["train", "--data", str(bad), "--protos", pipeline["protos"],
+                        "--lookback", "32", "--horizon", "8", "--d", "8", "--m", "2",
+                        "--out", str(tmp_path / "m.bin")])
+    assert code == 2
+    assert "not UTF-8" in err
+
+
 def test_flag_misuse_is_validation_failure():
     assert run(["synth", "--out", "x.csv"])[0] == 1          # missing required flags
     assert run(["cluster", "--bogus", "1"])[0] == 1          # unknown flag

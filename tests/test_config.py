@@ -96,6 +96,13 @@ def test_unreadable_path_is_parse_error(tmp_path):
         read_config_file(tmp_path / "missing.cfg")
 
 
+def test_config_bytes_that_are_not_utf8_are_parse_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"lr=0.01\nseed=\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        read_config_file(path)
+
+
 def test_optimizer_mapping():
     cfg = RunConfig(lr=0.02, weight_decay=0.3, max_epochs=7, batch_size=4, patience=2, seed=5)
     opt = cfg.optimizer()

@@ -60,6 +60,14 @@ def test_load_csv_rejects_non_numeric(tmp_path):
         load_csv(write(tmp_path, "a,b\n1,oops\n"))
 
 
+@pytest.mark.parametrize("data", [b"a,b\n1,2\n3,\xff\n", b"\xff,b\n1,2\n"])
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path, data):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(str(path))
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.standard_normal((40, 3)) * np.array([1e-9, 1.0, 1e12])

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from focus_forecast.autodiff import Tensor
+from focus_forecast import clustering
+from focus_forecast import model as model_module
+from focus_forecast.autodiff import Tensor, no_grad
 from focus_forecast.clustering import PrototypeSet, _assign_arr
 from focus_forecast.errors import ConfigError, NumericalError, ShapeError
 from focus_forecast.model import (
@@ -13,10 +15,12 @@ from focus_forecast.model import (
     extract_temporal,
     forecast_window,
     forward,
+    fuse_and_forecast,
     init_params,
     params_from_arrays,
     predict,
 )
+from focus_forecast.training import gradient_check
 
 HYPER = HyperParams(p=4, d=8, m=2, k=4, lookback=16, horizon=4, n_entities=3)
 
@@ -164,6 +168,44 @@ def test_branch_feature_shapes():
     x = np.random.default_rng(1).standard_normal((2, HYPER.lookback, HYPER.n_entities))
     assert extract_temporal(params, x).shape == (2, 3, HYPER.l, HYPER.d)
     assert extract_entity(params, x).shape == (2, 3, HYPER.l, HYPER.d)
+
+
+def test_forward_assigns_segments_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return clustering._assign_arr(*args)
+
+    monkeypatch.setattr(model_module, "_assign_arr", counting)
+    x = np.random.default_rng(12).standard_normal((2, HYPER.lookback, HYPER.n_entities))
+    forward(make_params(), x)
+    assert calls == [(2 * HYPER.n_entities * HYPER.l, HYPER.p)]
+
+
+def test_predict_equals_public_branch_composition_bit_for_bit():
+    """The benchmark's traced pass composes the public extractors and
+    compares against the training loss bit for bit."""
+    params = make_params()
+    x = np.random.default_rng(13).standard_normal((3, HYPER.lookback, HYPER.n_entities))
+    with no_grad():
+        composed = fuse_and_forecast(
+            params, extract_temporal(params, x), extract_entity(params, x)
+        ).data
+    np.testing.assert_array_equal(predict(params, x), composed)
+
+
+def test_gradients_match_finite_differences_with_narrow_segments():
+    """p < d makes w_in non-square and N < k leaves entity buckets empty,
+    so every absorbed weight product is exercised in both branches."""
+    hyper = HyperParams(p=3, d=5, m=2, k=6, lookback=12, horizon=3, n_entities=2)
+    params = make_params(seed=8, hyper=hyper)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((2, hyper.lookback, hyper.n_entities))
+    y = rng.standard_normal((2, hyper.horizon, hyper.n_entities))
+    rel = gradient_check(params, x, y)
+    assert set(rel) == set(params.tensors)
+    assert max(rel.values()) <= 1e-6, rel
 
 
 def _np_ln(x, gain, bias, eps=1e-8):
