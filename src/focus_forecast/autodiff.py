@@ -2,8 +2,8 @@
 
 Just the ops the forecaster needs: batched matmul, axis permutation,
 reshape, broadcast-aware arithmetic, sigmoid, last-axis softmax, layer
-norm, row gather, last-axis concat, and full-mean reduction. Every op
-accepts arbitrary leading batch dimensions.
+norm of a residual sum, row gather, last-axis concat, and full-mean
+reduction. Every op accepts arbitrary leading batch dimensions.
 
 A 2-D matmul operand shared across batch axes (a weight) gets its
 gradient from one contraction over the batch and row axes, a single
@@ -254,33 +254,50 @@ def softmax(a: Tensor) -> Tensor:
     return _wire(out, (a,), bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize over the last axis, then apply elementwise (d,) gain and bias."""
+def residual_layer_norm(
+    a: Tensor, res: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8
+) -> Tensor:
+    """Layer norm of a + res: normalize the sum over the last axis, then
+    apply elementwise (d,) gain and bias. res may be any view of a's shape."""
     d = a.data.shape[-1]
+    if res.data.shape != a.data.shape:
+        raise ShapeError(f"residual {res.data.shape} does not match {a.data.shape}")
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(
             f"gain {gain.data.shape} and bias {bias.data.shape} must both be ({d},)"
         )
-    # centre once and scale in place: np.var's own algorithm on the centred
-    # values (bit-identical to it), and no extra full-size array stays live
-    xhat = a.data - a.data.mean(axis=-1, keepdims=True)
+    # centre and scale the sum's own buffer in place: np.var's algorithm on
+    # the centred values (bit-identical to it), one full-size array kept
+    xhat = a.data + res.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    out = Tensor(xhat * gain.data + bias.data)
+    y = xhat * gain.data
+    y += bias.data
+    out = Tensor(y)
 
     def bw(g):
+        # two full-size buffers: g * xhat, then g * gain, which becomes the
+        # input gradient that a and res share
+        tmp = g * xhat
         if gain.requires_grad:
-            _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0))
+            _accum(gain, tmp.reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if a.requires_grad:
+        if a.requires_grad or res.requires_grad:
             gy = g * gain.data
             m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, inv * (gy - m1 - xhat * m2))
+            m2 = np.multiply(gy, xhat, out=tmp).mean(axis=-1, keepdims=True)
+            gy -= m1
+            gy -= np.multiply(xhat, m2, out=tmp)
+            gy *= inv
+            if a.requires_grad:
+                _accum(a, gy)
+            if res.requires_grad:
+                _accum(res, gy)
 
-    return _wire(out, (a, gain, bias), bw)
+    return _wire(out, (a, res, gain, bias), bw)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:

@@ -167,14 +167,15 @@ def count_forward_flops(h: HyperParams) -> int:
     Counts what `model.forward` runs on its n = N*l segments: the
     composite-distance assignment and the input embedding, once; per
     branch, the two absorbed weight products (the (k, p) raw-space
-    queries and the (p, d) value map), the p-wide scores and values and
-    the bucket aggregation, k rows per segment group; then the readout,
-    the gate (with its bias and blend) and the head.
+    queries and the (p, d) value map), then per segment the p-wide
+    scores against k queries, its share of the k p-wide bucket contexts,
+    and the value map on its gathered context row; then the readout, the
+    gate (with its bias and blend) and the head.
     """
     n = h.n_entities * h.l
     shared = 2 * n * h.k * h.p + 2 * n * h.p + n * h.p * h.d
     weights = 2 * h.k * h.p * h.d + 2 * h.k * h.d * h.d + 2 * h.p * h.d * h.d
-    branch = weights + n * (h.k * h.p + h.p * h.d + h.k * h.d)
+    branch = weights + n * (2 * h.k * h.p + h.p * h.d)
     fusion = h.n_entities * (
         4 * h.m * h.l * h.d + h.m * (2 * h.d * h.d + h.d) + 2 * h.m * h.d
     )
@@ -183,12 +184,26 @@ def count_forward_flops(h: HyperParams) -> int:
 
 
 def estimate_model_peak_bytes(h: HyperParams) -> int:
-    """Analytic peak for a batch-1 forward pass: both branch workloads
-    plus per-entity fusion intermediates (readout rows and features)."""
-    t_branch = h.n_entities * estimate_peak_bytes(h.l, h.k, h.d, h.p, "proto")
-    e_branch = h.l * estimate_peak_bytes(h.n_entities, h.k, h.d, h.p, "proto")
-    fusion = 8 * h.n_entities * (2 * h.m * h.l + 4 * h.m * h.d)
-    return t_branch + e_branch + fusion
+    """Analytic float64 peak of a batch-1 forward pass over n = N*l segments.
+
+    The raw segments and their embedding (n*p + n*d) live throughout. On
+    top of them the peak is the largest of three stages. A branch over
+    groups of rows holds the (k, rows) scores and softmax (2*k*n), k
+    p-wide contexts per group, the gathered p-wide rows (n*p), and the
+    (rows, d) values plus the layer norm's sum and output (3*n*d); the
+    entity branch also keeps the temporal features (n*d). The fusion
+    holds both branches' features (2*n*d), the readout scores and softmax
+    (2*m*l per entity) and about seven (m, d) arrays per entity in the
+    readout and the sigmoid gate.
+    """
+    n = h.n_entities * h.l
+
+    def branch(groups: int) -> int:
+        return 2 * h.k * n + groups * h.k * h.p + n * h.p + 3 * n * h.d
+
+    fusion = 2 * n * h.d + h.n_entities * (2 * h.m * h.l + 7 * h.m * h.d)
+    stage = max(branch(h.n_entities), n * h.d + branch(h.l), fusion)
+    return 8 * (n * h.p + n * h.d + stage)
 
 
 def scaling_sweep(

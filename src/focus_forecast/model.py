@@ -10,9 +10,11 @@ layer norm, and are reduced by m readout queries. A sigmoid gate blends
 the branch features before the linear forecast head.
 
 The input embedding is linear, so each branch absorbs it, with the key
-and output projections, into two small weight products (see `_branch`):
-the per-segment products then run at width p, not d. Only the order of
-exact products changes, not the function or its parameters.
+and output projections, into two small weight products (see `_branch`).
+Attention then reads the raw segments: the k bucket contexts and the
+gathered per-segment rows are p wide, and the (p, d) value map runs last,
+once per segment, straight into the fused residual + layer norm. Only
+the order of exact products changes, not the function or its parameters.
 """
 
 from __future__ import annotations
@@ -174,9 +176,13 @@ def _branch(
     Every map from raw to scores and values is linear, so both fold into
     two weight products that are computed once per call:
     Q (E w_k)^T = (Q w_k^T w_in^T) raw^T, a (k, p) query against raw
-    segments, and (S E w_v) w_o = S (raw (w_in w_v w_o)), a (p, d) value
-    map. The large products then run at width p instead of d. Gradients
-    reach every weight through the two small products.
+    segments, and (S E w_v) w_o = (S raw) (w_in w_v w_o), a (p, d) value
+    map applied last. So the k bucket contexts S raw are p wide, each
+    segment gathers its prototype's context row, and only then is the row
+    mapped to width d and added to E inside the layer norm. Gathering rows
+    commutes with the right-multiplication, so this equals gathering the
+    d-wide bucket outputs. Gradients reach every weight through the two
+    small products.
     """
     t = params.tensors
     h = params.hyper
@@ -190,10 +196,10 @@ def _branch(
     scores = ad.scale(
         ad.matmul(q_raw, ad.constant(np.swapaxes(raw, -1, -2))), 1.0 / np.sqrt(h.d)
     )
-    bucket_out = ad.matmul(ad.softmax(scores), ad.matmul(ad.constant(raw), w_val))
-    gathered = ad.gather_rows(bucket_out, idx)
-    return ad.layer_norm(
-        ad.add(gathered, embedded), t[f"ln_{prefix}_gain"], t[f"ln_{prefix}_bias"]
+    contexts = ad.matmul(ad.softmax(scores), ad.constant(raw))  # (..., k, p)
+    values = ad.matmul(ad.gather_rows(contexts, idx), w_val)  # (..., rows, d)
+    return ad.residual_layer_norm(
+        values, embedded, t[f"ln_{prefix}_gain"], t[f"ln_{prefix}_bias"]
     )
 
 

@@ -127,9 +127,18 @@ def test_criterion_4_linear_scaling():
     # cross-multiplied so the check is exact in integers
     cross = (f[2] - f[1]) * (ls[1] - ls[0]) - (f[1] - f[0]) * (ls[2] - ls[1])
     resid = abs(cross) / ((ls[2] - ls[1]) * (ls[1] - ls[0]))
-    sizes = (256, 512, 1024, 2048)
-    proto_slope = scaling_sweep("protoattn", sizes, k=k, d=d, p=p).slopes["protoattn"][0]
-    full_slope = scaling_sweep("full_attn", sizes, k=k, d=d, p=p).slopes["full_attn"][0]
+    # the slope is fitted over the three largest sizes, l=1024..4096, where
+    # one call (~1-7 ms) dwarfs the kernel's fixed cost (~0.3 ms at l=256).
+    # A sweep takes well under a second, so one burst of contention on a
+    # shared host can skew all of its repetitions and so its slope (1.6-1.9
+    # seen); the median over independent sweeps outvotes such a sweep.
+    def slope(mode, sizes, sweeps):
+        return float(np.median(
+            [scaling_sweep(mode, sizes, k=k, d=d, p=p).slopes[mode][0] for _ in range(sweeps)]
+        ))
+
+    proto_slope = slope("protoattn", (512, 1024, 2048, 4096), 5)
+    full_slope = slope("full_attn", (256, 512, 1024, 2048), 3)
     elapsed = time.perf_counter() - t0
     ok = (
         resid <= 1e-9

@@ -119,8 +119,13 @@ def test_softmax_grad():
     check_grad(ad.softmax, (4, 6), tol=1e-6)
 
 
+def layer_norm(a, gain, bias):
+    """Plain layer norm: the residual layer norm with a zero residual."""
+    return ad.residual_layer_norm(a, ad.constant(np.zeros(a.shape)), gain, bias)
+
+
 def test_layer_norm_grads_all_three_slots():
-    check_grad(ad.layer_norm, (2, 5, 8), (8,), (8,), tol=1e-6)
+    check_grad(layer_norm, (2, 5, 8), (8,), (8,), tol=1e-6)
 
 
 def test_gather_rows_grad_with_duplicate_indices():
@@ -129,7 +134,11 @@ def test_gather_rows_grad_with_duplicate_indices():
 
 
 def test_layer_norm_grads_4d():
-    check_grad(ad.layer_norm, (2, 3, 4, 8), (8,), (8,), tol=1e-6)
+    check_grad(layer_norm, (2, 3, 4, 8), (8,), (8,), tol=1e-6)
+
+
+def test_residual_layer_norm_grads_all_four_slots_4d():
+    check_grad(ad.residual_layer_norm, (2, 3, 4, 8), (2, 3, 4, 8), (8,), (8,), tol=1e-6)
 
 
 def test_gather_rows_grad_two_leading_axes_and_unused_bucket():
@@ -177,7 +186,7 @@ def test_softmax_shift_invariance():
 def test_layer_norm_standardizes_tokens():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((4, 6, 16)) * 3 + 2
-    out = ad.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
+    out = layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
     np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
 
@@ -188,8 +197,24 @@ def test_layer_norm_forward_matches_np_var_formula_bitwise():
     ref = (x - x.mean(axis=-1, keepdims=True)) * (
         1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-8)
     ) * gain + bias
-    out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+    out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
     assert np.array_equal(out, ref)
+
+
+def test_residual_layer_norm_forward_matches_np_var_formula_of_the_sum_bitwise():
+    # the entity branch passes its residual as a permuted, non-contiguous view
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((3, 4, 5, 16)) * 3 + 1
+    res = np.transpose(rng.standard_normal((3, 5, 4, 16)), (0, 2, 1, 3))
+    gain, bias = rng.standard_normal(16), rng.standard_normal(16)
+    assert not res.flags.c_contiguous
+    for r in (res, np.ascontiguousarray(res)):
+        x = a + r
+        ref = (x - x.mean(axis=-1, keepdims=True)) * (
+            1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-8)
+        ) * gain + bias
+        out = ad.residual_layer_norm(Tensor(a), Tensor(r), Tensor(gain), Tensor(bias)).data
+        assert np.array_equal(out, ref)
 
 
 def test_gather_rows_selects():
@@ -218,7 +243,16 @@ def test_gather_rows_rejects_bad_indices(idx):
 
 def test_layer_norm_rejects_gain_not_matching_last_axis():
     with pytest.raises(ShapeError):
-        ad.layer_norm(Tensor(np.zeros((2, 8))), Tensor(np.ones((2, 8))), Tensor(np.zeros(8)))
+        layer_norm(Tensor(np.zeros((2, 8))), Tensor(np.ones((2, 8))), Tensor(np.zeros(8)))
+
+
+@pytest.mark.parametrize("res_shape", [(2, 1, 8), (8,), (2, 3, 4), (3, 2, 8)])
+def test_residual_layer_norm_rejects_residual_not_matching_input(res_shape):
+    with pytest.raises(ShapeError):
+        ad.residual_layer_norm(
+            Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros(res_shape)),
+            Tensor(np.ones(8)), Tensor(np.zeros(8)),
+        )
 
 
 def test_sigmoid_matches_reference_formula_bitwise():

@@ -1,5 +1,7 @@
 """Benchmark harness: cost models, the rank probe, and the ablation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from focus_forecast.bench import (
 from focus_forecast.clustering import PrototypeSet
 from focus_forecast.data import generate_synthetic, split_and_normalize
 from focus_forecast.errors import ConfigError
-from focus_forecast.model import HyperParams
+from focus_forecast.model import HyperParams, init_params, predict
 from focus_forecast.optim import OptimizerConfig
 from focus_forecast.protoattn import count_flops, count_flops_full
 
@@ -70,11 +72,11 @@ def test_forward_flops_at_a_small_geometry():
     # p=2, d=3, k=4, m=1, l=3, N=2, horizon=2, so n = N*l = 6 segments.
     # shared: assignment 2*n*k*p + 2*n*p = 96 + 24, embedding n*p*d = 36 -> 156
     # per branch: weight products 2*k*p*d + 2*k*d^2 + 2*p*d^2 = 48 + 72 + 36 = 156,
-    #   scores n*k*p + values n*p*d + aggregation n*k*d = 48 + 36 + 72 = 156 -> 312
+    #   scores n*k*p + contexts n*k*p + value map n*p*d = 48 + 48 + 36 = 132 -> 288
     # fusion: N*(4*m*l*d + m*(2*d^2 + d) + 2*m*d) = 2*(36 + 21 + 6) = 126
     # head: N*(m*d*horizon + horizon) = 2*(6 + 2) = 16
     h = HyperParams(p=2, d=3, m=1, k=4, lookback=6, horizon=2, n_entities=2)
-    assert count_forward_flops(h) == 156 + 2 * 312 + 126 + 16
+    assert count_forward_flops(h) == 156 + 2 * 288 + 126 + 16
 
 
 def test_peak_bytes_modes_and_validation():
@@ -84,6 +86,29 @@ def test_peak_bytes_modes_and_validation():
     assert estimate_model_peak_bytes(hyper_at(8)) > 0
     with pytest.raises(ConfigError):
         estimate_peak_bytes(8, 2, 4, 4, "banana")
+
+
+@pytest.mark.parametrize(
+    "hyper",
+    [
+        HyperParams(p=16, d=64, m=6, k=16, lookback=512, horizon=96, n_entities=7),  # ETTh1
+        HyperParams(p=8, d=32, m=4, k=8, lookback=256, horizon=24, n_entities=3),
+        HyperParams(p=24, d=64, m=8, k=16, lookback=96, horizon=24, n_entities=40),
+    ],
+)
+def test_model_peak_estimate_within_2x_of_traced_peak(hyper):
+    rng = np.random.default_rng(0)
+    params = init_params(hyper, PrototypeSet(rng.standard_normal((hyper.k, hyper.p)), alpha=0.2))
+    x = rng.standard_normal((1, hyper.lookback, hyper.n_entities))
+    predict(params, x)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        predict(params, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0.5 <= estimate_model_peak_bytes(hyper) / peak <= 2.0
 
 
 # --------------------------------------------------------------- helpers

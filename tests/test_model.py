@@ -255,6 +255,31 @@ def test_forward_matches_plain_numpy_transcription():
     np.testing.assert_allclose(predict(params, x), expected, atol=1e-10)
 
 
+def test_branch_matches_d_wide_bucket_form_for_few_and_many_rows():
+    """The branch maps gathered p-wide contexts to width d last; the form it
+    replaced mapped every segment to width d first and gathered d-wide
+    bucket rows. Temporal groups here have l=8 rows > k=4, entity groups
+    N=3 rows < k=4."""
+    hyper = HyperParams(p=4, d=8, m=2, k=4, lookback=32, horizon=4, n_entities=3)
+    params = make_params(seed=10, hyper=hyper)
+    w = params.arrays()
+    x = np.random.default_rng(15).standard_normal((2, hyper.lookback, hyper.n_entities))
+    raw, idx, embedded = model_module._segment(params, x)
+    pe = params.protos.prototypes @ w["w_in"]
+    for prefix, r, i, emb in (
+        ("t", raw, idx, embedded.data),
+        ("e", raw.transpose(0, 2, 1, 3), idx.transpose(0, 2, 1), embedded.data.transpose(0, 2, 1, 3)),
+    ):
+        q_raw = (pe @ w[f"{prefix}_we"]) @ w[f"{prefix}_wk"].T @ w["w_in"].T
+        w_val = w["w_in"] @ w[f"{prefix}_wv"] @ w[f"{prefix}_wo"]
+        scores = q_raw @ np.swapaxes(r, -1, -2) / np.sqrt(hyper.d)
+        bucket = _np_softmax(scores) @ (r @ w_val)
+        gathered = np.take_along_axis(bucket, i[..., None], axis=-2)
+        ref = _np_ln(gathered + emb, w[f"ln_{prefix}_gain"], w[f"ln_{prefix}_bias"])
+        out = model_module._branch(params, r, i, Tensor(emb), prefix).data
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), prefix
+
+
 def test_zero_input_yields_layer_norm_bias_tokens():
     """x = 0 kills both the residual and the value path, so every token
     collapses to the layer-norm bias exactly."""
