@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Just the ops the forecaster needs: batched matmul, axis permutation,
-reshape, broadcast-aware arithmetic, sigmoid, last-axis softmax, layer
-norm of a residual sum, row gather, last-axis concat, and full-mean
-reduction. Every op accepts arbitrary leading batch dimensions.
+reshape, broadcast-aware arithmetic, sigmoid, last-axis softmax, the
+per-row scale of a factored layer norm, row gather, last-axis concat,
+and full-mean reduction. Every op accepts arbitrary leading batch
+dimensions.
 
 A 2-D matmul operand shared across batch axes (a weight) gets its
 gradient from one contraction over the batch and row axes, a single
@@ -229,8 +230,14 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp(-|x|) never overflows; e / (1 + e) replaces 1 / (1 + e) where
+    # x < 0. Three buffers, bit-identical to np.where over both quotients
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    y = np.divide(1.0, denom)
+    np.divide(e, denom, out=y, where=x < 0)
     out = Tensor(y)
 
     def bw(g):
@@ -254,50 +261,41 @@ def softmax(a: Tensor) -> Tensor:
     return _wire(out, (a,), bw)
 
 
-def residual_layer_norm(
-    a: Tensor, res: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8
-) -> Tensor:
-    """Layer norm of a + res: normalize the sum over the last axis, then
-    apply elementwise (d,) gain and bias. res may be any view of a's shape."""
-    d = a.data.shape[-1]
-    if res.data.shape != a.data.shape:
-        raise ShapeError(f"residual {res.data.shape} does not match {a.data.shape}")
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeError(
-            f"gain {gain.data.shape} and bias {bias.data.shape} must both be ({d},)"
-        )
-    # centre and scale the sum's own buffer in place: np.var's algorithm on
-    # the centred values (bit-identical to it), one full-size array kept
-    xhat = a.data + res.data
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    y = xhat * gain.data
-    y += bias.data
-    out = Tensor(y)
+def rms_rows(u: Tensor, gram: Tensor, eps: float = 1e-8) -> Tensor:
+    """Scale each row of u (..., w) by r = 1/sqrt(max(u G u^T, 0) + eps), G = gram.
+
+    With G = Wc Wc^T / d for a row-centred (w, d) map Wc, u G u^T is the
+    variance of the d-wide row u Wc, so (r u) Wc is that row layer-normed,
+    computed without building it. The clamp keeps a quadratic form that
+    rounds below zero (a row near Wc's left null space) finite.
+    """
+    w = u.data.shape[-1]
+    if gram.data.shape != (w, w):
+        raise ShapeError(f"gram must be ({w}, {w}) to match u's last axis, got {gram.data.shape}")
+    ud, g_mat = u.data, gram.data
+    q = np.einsum("...i,...i->...", ud @ g_mat, ud)[..., None]
+    active = q > 0
+    np.maximum(q, 0.0, out=q)
+    q += eps
+    r = np.sqrt(q, out=q)
+    np.divide(1.0, r, out=r)
+    out = Tensor(ud * r)
 
     def bw(g):
-        # two full-size buffers: g * xhat, then g * gain, which becomes the
-        # input gradient that a and res share
-        tmp = g * xhat
-        if gain.requires_grad:
-            _accum(gain, tmp.reshape(-1, d).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.reshape(-1, d).sum(axis=0))
-        if a.requires_grad or res.requires_grad:
-            gy = g * gain.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = np.multiply(gy, xhat, out=tmp).mean(axis=-1, keepdims=True)
-            gy -= m1
-            gy -= np.multiply(xhat, m2, out=tmp)
-            gy *= inv
-            if a.requires_grad:
-                _accum(a, gy)
-            if res.requires_grad:
-                _accum(res, gy)
+        # out = r u with dr/du = -r^3 u (G + G^T) / 2 and dr/dG = -r^3 u^T u / 2,
+        # both zero where the clamp held; c u carries both
+        c = np.einsum("...i,...i->...", g, ud)[..., None]
+        c *= r * r * r
+        c *= np.where(active, -0.5, 0.0)
+        cu = ud * c
+        if gram.requires_grad:
+            _accum(gram, cu.reshape(-1, w).T @ ud.reshape(-1, w))
+        if u.requires_grad:
+            gu = cu @ (g_mat + g_mat.T)
+            gu += g * r
+            _accum(u, gu)
 
-    return _wire(out, (a, res, gain, bias), bw)
+    return _wire(out, (u, gram), bw)
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
@@ -325,6 +323,8 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.shape[:-1] != b.data.shape[:-1]:
+        raise ShapeError(f"leading shapes {a.data.shape[:-1]} and {b.data.shape[:-1]} differ")
     out = Tensor(np.concatenate([a.data, b.data], axis=-1))
     na = a.data.shape[-1]
 

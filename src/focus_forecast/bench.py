@@ -164,46 +164,59 @@ def estimate_peak_bytes(l: int, k: int, d: int, p: int, mode: str = "proto") -> 
 def count_forward_flops(h: HyperParams) -> int:
     """Multiply-add count for one forecaster forward pass over one window.
 
-    Counts what `model.forward` runs on its n = N*l segments: the
-    composite-distance assignment and the input embedding, once; per
-    branch, the two absorbed weight products (the (k, p) raw-space
-    queries and the (p, d) value map), then per segment the p-wide
-    scores against k queries, its share of the k p-wide bucket contexts,
-    and the value map on its gathered context row; then the readout, the
-    gate (with its bias and blend) and the head.
+    Counts what `model.forward` runs on its n = N*l segments, with
+    w = 2p the width of a branch's rows: the composite-distance
+    assignment, once; per branch, the weight products (the (k, p)
+    raw-space queries, the (p, d) value map, the row means, centring and
+    gain of the (w, d) layer-norm map W, its (w, w) gram matrix, and the
+    readout keys q_read Wg^T), then per segment the p-wide scores against
+    k queries, its share of the k p-wide bucket contexts, the quadratic
+    form u G u^T of its w-wide row, and m w-wide readout scores and
+    aggregations, and per entity the readout's (m, w) x (w, d) map and
+    bias; then the gate (with its bias and blend) and the head. The
+    per-row scale r u is elementwise and not counted.
     """
     n = h.n_entities * h.l
-    shared = 2 * n * h.k * h.p + 2 * n * h.p + n * h.p * h.d
-    weights = 2 * h.k * h.p * h.d + 2 * h.k * h.d * h.d + 2 * h.p * h.d * h.d
-    branch = weights + n * (2 * h.k * h.p + h.p * h.d)
-    fusion = h.n_entities * (
-        4 * h.m * h.l * h.d + h.m * (2 * h.d * h.d + h.d) + 2 * h.m * h.d
+    w = 2 * h.p
+    assign = 2 * n * h.k * h.p + 2 * n * h.p
+    weights = (
+        2 * h.k * h.p * h.d + 2 * h.k * h.d * h.d + 2 * h.p * h.d * h.d
+        + 3 * w * h.d + w * w * h.d + h.m * h.d * w
     )
+    per_segment = 2 * h.k * h.p + w * w + w + 2 * h.m * w
+    per_entity = h.m * w * h.d + h.m * h.d
+    branch = weights + n * per_segment + h.n_entities * per_entity
+    gate = h.n_entities * (h.m * (2 * h.d * h.d + h.d) + 2 * h.m * h.d)
     head = h.n_entities * (h.m * h.d * h.horizon + h.horizon)
-    return shared + 2 * branch + fusion + head
+    return assign + 2 * branch + gate + head
 
 
 def estimate_model_peak_bytes(h: HyperParams) -> int:
     """Analytic float64 peak of a batch-1 forward pass over n = N*l segments.
 
-    The raw segments and their embedding (n*p + n*d) live throughout. On
-    top of them the peak is the largest of three stages. A branch over
-    groups of rows holds the (k, rows) scores and softmax (2*k*n), k
-    p-wide contexts per group, the gathered p-wide rows (n*p), and the
-    (rows, d) values plus the layer norm's sum and output (3*n*d); the
-    entity branch also keeps the temporal features (n*d). The fusion
-    holds both branches' features (2*n*d), the readout scores and softmax
-    (2*m*l per entity) and about seven (m, d) arrays per entity in the
-    readout and the sigmoid gate.
+    The raw segments and their prototype indices (n*p + n) live
+    throughout, and w = 2p is a branch's row width. On top of them the
+    peak is the largest of four stages. The assignment holds the
+    centred-unit rows and a temporary (2*n*p) and about three (n, k)
+    distance terms. A branch over groups of rows holds its (k, rows)
+    scores (k*n), k p-wide contexts per group, the w-wide rows u, u G and
+    r u (3*w*n), and its small weight products (about three (w, d) maps
+    and two (w, w) gram matrices). The entity branch also keeps the
+    temporal feature and map (w*n + w*d). The fusion holds both
+    features and maps (2*w*n + 2*w*d) and about six (m, d) arrays per
+    entity in the gate and the blend.
     """
     n = h.n_entities * h.l
+    w = 2 * h.p
+    weights = 3 * w * h.d + 2 * w * w
 
     def branch(groups: int) -> int:
-        return 2 * h.k * n + groups * h.k * h.p + n * h.p + 3 * n * h.d
+        return h.k * n + groups * h.k * h.p + 3 * w * n + weights
 
-    fusion = 2 * n * h.d + h.n_entities * (2 * h.m * h.l + 7 * h.m * h.d)
-    stage = max(branch(h.n_entities), n * h.d + branch(h.l), fusion)
-    return 8 * (n * h.p + n * h.d + stage)
+    assign = 2 * n * h.p + 3 * n * h.k
+    fusion = 2 * w * n + 2 * w * h.d + 6 * h.n_entities * h.m * h.d
+    stage = max(assign, branch(h.n_entities), w * n + w * h.d + branch(h.l), fusion)
+    return 8 * (n * h.p + n + stage)
 
 
 def scaling_sweep(

@@ -2,19 +2,22 @@
 
 A lookback window is cut two ways: per entity into l temporal segments,
 and per time block into one segment per entity. Both cuts hold the same
-(N, l) grid of length-p segments, so a forward pass segments, assigns
-and embeds once, and the entity branch reads that grid with its N and l
-axes swapped. Both branches run the same prototype-attention kernel
-(separate projection weights, shared input embedding), get a residual +
-layer norm, and are reduced by m readout queries. A sigmoid gate blends
-the branch features before the linear forecast head.
+(N, l) grid of length-p segments, so a forward pass segments and assigns
+once, and the entity branch reads that grid with its N and l axes
+swapped. Both branches run the same prototype-attention kernel (separate
+projection weights, shared input embedding), get a residual + layer
+norm, and are reduced by m readout queries. A sigmoid gate blends the
+branch readouts before the linear forecast head.
 
-The input embedding is linear, so each branch absorbs it, with the key
-and output projections, into two small weight products (see `_branch`).
-Attention then reads the raw segments: the k bucket contexts and the
-gathered per-segment rows are p wide, and the (p, d) value map runs last,
-once per segment, straight into the fused residual + layer norm. Only
-the order of exact products changes, not the function or its parameters.
+The input embedding is linear, so each branch absorbs it, with the key,
+value and output projections, into small weight products (see
+`_branch`). Attention reads the raw segments, and a segment's residual
+sum is a 2p-wide row [gathered context | raw segment] times a (2p, d)
+map. Its layer norm only rescales that row, so a branch returns the
+rescaled 2p-wide rows with the map and bias (`BranchFeature`), and the
+readout attends over that factored form. No per-segment array wider
+than 2p is built, forward or backward. Only the order of exact products
+changes, not the function or its parameters.
 """
 
 from __future__ import annotations
@@ -150,25 +153,34 @@ def _check_input(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _segment(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, Tensor]:
+def _segment(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check a window and cut it into (batch, N, l, p) temporal segments.
 
-    Returns the segments, their prototype indices (batch, N, l) and their
-    shared embedding (batch, N, l, d). The entity branch reads all three
-    with the N and l axes swapped.
+    Returns the segments and their prototype indices (batch, N, l). The
+    entity branch reads both with the N and l axes swapped.
     """
     x = _check_input(params, x)
     h = params.hyper
     raw = x.transpose(0, 2, 1).reshape(x.shape[0], h.n_entities, h.l, h.p)
     protos = params.protos
     idx = _assign_arr(raw.reshape(-1, h.p), protos.prototypes, protos.alpha).assignment
-    embedded = ad.matmul(ad.constant(raw), params.tensors["w_in"])
-    return raw, idx.reshape(raw.shape[:-1]), embedded
+    return raw, idx.reshape(raw.shape[:-1])
 
 
-def _branch(
-    params: ModelParams, raw: np.ndarray, idx: np.ndarray, embedded: Tensor, prefix: str
-) -> Tensor:
+@dataclass(frozen=True, eq=False)
+class BranchFeature:
+    """A branch's d-wide tokens in factored form: scaled @ out_map + bias.
+
+    scaled is (batch, N, l, 2p), out_map the branch's (2p, d) map and bias
+    its layer-norm bias (d,). The tokens themselves are never built.
+    """
+
+    scaled: Tensor
+    out_map: Tensor
+    bias: Tensor
+
+
+def _branch(params: ModelParams, raw: np.ndarray, idx: np.ndarray, prefix: str) -> BranchFeature:
     """Prototype attention + residual + layer norm over (..., rows, p) segments.
 
     With E = raw w_in the embedded segments and Q = P w_in w_e the
@@ -176,13 +188,15 @@ def _branch(
     Every map from raw to scores and values is linear, so both fold into
     two weight products that are computed once per call:
     Q (E w_k)^T = (Q w_k^T w_in^T) raw^T, a (k, p) query against raw
-    segments, and (S E w_v) w_o = (S raw) (w_in w_v w_o), a (p, d) value
-    map applied last. So the k bucket contexts S raw are p wide, each
-    segment gathers its prototype's context row, and only then is the row
-    mapped to width d and added to E inside the layer norm. Gathering rows
-    commutes with the right-multiplication, so this equals gathering the
-    d-wide bucket outputs. Gradients reach every weight through the two
-    small products.
+    segments, and (S E w_v) w_o = (S raw) (w_in w_v w_o) with the (p, d)
+    value map w_val. So the k bucket contexts S raw are p wide, and each
+    segment gathers its prototype's context row. The residual sum is then
+    u W, with u = [gathered context | raw] (..., rows, 2p) and
+    W = [w_val; w_in] (2p, d). Its layer norm is r (u Wc) gain + bias with
+    Wc = W minus its row means and r = 1/sqrt(max(u G u^T, 0) + eps),
+    G = Wc Wc^T / d, so the branch returns r u with Wg = Wc gain and the
+    bias, and no (rows, d) array is built. Gradients reach every weight
+    through the small products.
     """
     t = params.tensors
     h = params.hyper
@@ -193,50 +207,61 @@ def _branch(
         ad.matmul(queries, ad.transpose_last(t[f"{prefix}_wk"])), ad.transpose_last(w_in)
     )  # (k, p)
     w_val = ad.matmul(ad.matmul(w_in, t[f"{prefix}_wv"]), t[f"{prefix}_wo"])  # (p, d)
-    scores = ad.scale(
-        ad.matmul(q_raw, ad.constant(np.swapaxes(raw, -1, -2))), 1.0 / np.sqrt(h.d)
-    )
+    scores = ad.matmul(ad.scale(q_raw, 1.0 / np.sqrt(h.d)), ad.constant(np.swapaxes(raw, -1, -2)))
     contexts = ad.matmul(ad.softmax(scores), ad.constant(raw))  # (..., k, p)
-    values = ad.matmul(ad.gather_rows(contexts, idx), w_val)  # (..., rows, d)
-    return ad.residual_layer_norm(
-        values, embedded, t[f"ln_{prefix}_gain"], t[f"ln_{prefix}_bias"]
+    u = ad.concat_last(ad.gather_rows(contexts, idx), ad.constant(raw))  # (..., rows, 2p)
+    w = ad.transpose_last(
+        ad.concat_last(ad.transpose_last(w_val), ad.transpose_last(w_in))
+    )  # (2p, d)
+    w_c = ad.sub(w, ad.matmul(w, ad.constant(np.full((h.d, 1), 1.0 / h.d))))
+    gram = ad.scale(ad.matmul(w_c, ad.transpose_last(w_c)), 1.0 / h.d)  # (2p, 2p)
+    return BranchFeature(
+        ad.rms_rows(u, gram), ad.mul(w_c, t[f"ln_{prefix}_gain"]), t[f"ln_{prefix}_bias"]
     )
 
 
-def _entity(params: ModelParams, raw: np.ndarray, idx: np.ndarray, embedded: Tensor) -> Tensor:
-    out = _branch(
-        params,
-        raw.transpose(0, 2, 1, 3),
-        idx.transpose(0, 2, 1),
-        ad.permute(embedded, (0, 2, 1, 3)),
-        "e",
-    )  # (batch, l, N, d)
-    return ad.permute(out, (0, 2, 1, 3))
+def _entity(params: ModelParams, raw: np.ndarray, idx: np.ndarray) -> BranchFeature:
+    f = _branch(params, raw.transpose(0, 2, 1, 3), idx.transpose(0, 2, 1), "e")
+    # (batch, l, N, 2p) -> (batch, N, l, 2p)
+    return BranchFeature(ad.permute(f.scaled, (0, 2, 1, 3)), f.out_map, f.bias)
 
 
-def extract_temporal(params: ModelParams, x: np.ndarray) -> Tensor:
-    """Per-entity temporal-segment features, (batch, N, l, d)."""
+def extract_temporal(params: ModelParams, x: np.ndarray) -> BranchFeature:
+    """Per-entity temporal-segment features, (batch, N, l, d) in factored form."""
     return _branch(params, *_segment(params, x), "t")
 
 
-def extract_entity(params: ModelParams, x: np.ndarray) -> Tensor:
-    """Cross-entity features per time block, returned as (batch, N, l, d)."""
+def extract_entity(params: ModelParams, x: np.ndarray) -> BranchFeature:
+    """Cross-entity features per time block, (batch, N, l, d) in factored form."""
     return _entity(params, *_segment(params, x))
 
 
-def fuse_and_forecast(params: ModelParams, h_t: Tensor, h_e: Tensor) -> Tensor:
+def _readout(q_read: Tensor, f: BranchFeature, scale: float) -> Tensor:
+    """m readout queries over one branch's tokens, (batch, N, m, d).
+
+    A token is s Wg + bias with s = f.scaled, Wg = f.out_map, so a query's
+    scores are scale (q Wg^T) s^T plus scale q . bias, which is the same
+    for every token and cancels in the softmax. Softmax rows sum to one,
+    so the readout is (A s) Wg + bias.
+    """
+    keys = ad.scale(ad.matmul(q_read, ad.transpose_last(f.out_map)), scale)  # (m, 2p)
+    attn = ad.softmax(ad.matmul(keys, ad.transpose_last(f.scaled)))
+    return ad.add(ad.matmul(ad.matmul(attn, f.scaled), f.out_map), f.bias)
+
+
+def fuse_and_forecast(params: ModelParams, h_t: BranchFeature, h_e: BranchFeature) -> Tensor:
     """Read out both branches with m queries, gate-blend, and project.
 
-    h_t, h_e: (batch, N, l, d). Returns predictions (batch, horizon, N).
+    h_t, h_e: the branches' (batch, N, l, d) features in factored form.
+    Returns predictions (batch, horizon, N).
     """
     t = params.tensors
     h = params.hyper
     scale = 1.0 / np.sqrt(h.d)
-    f_t = ad.matmul(ad.softmax(ad.scale(ad.matmul(t["q_read"], ad.transpose_last(h_t)), scale)), h_t)
-    f_e = ad.matmul(ad.softmax(ad.scale(ad.matmul(t["q_read"], ad.transpose_last(h_e)), scale)), h_e)
+    f_t = _readout(t["q_read"], h_t, scale)
+    f_e = _readout(t["q_read"], h_e, scale)
     gate = ad.sigmoid(ad.add(ad.matmul(ad.concat_last(f_t, f_e), t["gate_w"]), t["gate_b"]))
-    ones = ad.constant(np.ones_like(gate.data))
-    blended = ad.add(ad.mul(gate, f_t), ad.mul(ad.sub(ones, gate), f_e))
+    blended = ad.add(ad.mul(gate, f_t), ad.mul(ad.sub(ad.constant(1.0), gate), f_e))
     flat = ad.reshape(blended, blended.shape[:-2] + (h.m * h.d,))
     pred = ad.add(ad.matmul(flat, t["head_w"]), t["head_b"])  # (batch, N, horizon)
     return ad.permute(pred, (0, 2, 1))
@@ -244,9 +269,9 @@ def fuse_and_forecast(params: ModelParams, h_t: Tensor, h_e: Tensor) -> Tensor:
 
 def forward(params: ModelParams, x: np.ndarray) -> Tensor:
     """Full forward pass: (batch, lookback, N) -> (batch, horizon, N)."""
-    raw, idx, embedded = _segment(params, x)
-    h_t = _branch(params, raw, idx, embedded, "t")
-    return fuse_and_forecast(params, h_t, _entity(params, raw, idx, embedded))
+    raw, idx = _segment(params, x)
+    h_t = _branch(params, raw, idx, "t")
+    return fuse_and_forecast(params, h_t, _entity(params, raw, idx))
 
 
 def predict(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -120,8 +120,21 @@ def test_softmax_grad():
 
 
 def layer_norm(a, gain, bias):
-    """Plain layer norm: the residual layer norm with a zero residual."""
-    return ad.residual_layer_norm(a, ad.constant(np.zeros(a.shape)), gain, bias)
+    """Plain layer norm in the model's factored form: the rows of a through
+    the identity map, whose row-centred form is C = I - 1/d."""
+    d = a.shape[-1]
+    c = np.eye(d) - 1.0 / d
+    scaled = ad.rms_rows(a, ad.constant(c @ c.T / d))
+    return ad.add(ad.matmul(scaled, ad.mul(ad.constant(c), gain)), bias)
+
+
+def residual_layer_norm(a, res, gain, bias):
+    """Layer norm of a + res in the model's factored form: u = [a | res]
+    through W = [I; I], so Wc = [C; C] and G = Wc Wc^T / d."""
+    d = a.shape[-1]
+    w_c = np.vstack([np.eye(d), np.eye(d)]) - 1.0 / d
+    scaled = ad.rms_rows(ad.concat_last(a, res), ad.constant(w_c @ w_c.T / d))
+    return ad.add(ad.matmul(scaled, ad.mul(ad.constant(w_c), gain)), bias)
 
 
 def test_layer_norm_grads_all_three_slots():
@@ -138,7 +151,21 @@ def test_layer_norm_grads_4d():
 
 
 def test_residual_layer_norm_grads_all_four_slots_4d():
-    check_grad(ad.residual_layer_norm, (2, 3, 4, 8), (2, 3, 4, 8), (8,), (8,), tol=1e-6)
+    check_grad(residual_layer_norm, (2, 3, 4, 8), (2, 3, 4, 8), (8,), (8,), tol=1e-6)
+
+
+def test_rms_rows_grads_both_slots_4d():
+    # G = g + 8 I keeps every row's quadratic form positive, and g is not
+    # symmetric, so both halves of G + G^T are checked
+    shift = ad.constant(8.0 * np.eye(6))
+    check_grad(lambda u, g: ad.rms_rows(u, ad.add(g, shift)), (2, 3, 4, 6), (6, 6), tol=1e-6)
+
+
+def test_rms_rows_grads_are_zero_through_the_clamp():
+    # G = g - 1000 I makes every row's quadratic form negative, so the clamp
+    # holds everywhere: r = 1/sqrt(eps) is constant and out = r u
+    check_grad(lambda u, g: ad.rms_rows(u, ad.sub(g, ad.constant(1e3 * np.eye(6)))),
+               (2, 3, 4, 6), (6, 6), tol=1e-6)
 
 
 def test_gather_rows_grad_two_leading_axes_and_unused_bucket():
@@ -191,30 +218,51 @@ def test_layer_norm_standardizes_tokens():
     np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
 
 
-def test_layer_norm_forward_matches_np_var_formula_bitwise():
+def test_layer_norm_matches_np_var_formula():
     rng = np.random.default_rng(8)
     x, gain, bias = rng.standard_normal((3, 4, 5, 16)) * 3 + 1, rng.standard_normal(16), rng.standard_normal(16)
     ref = (x - x.mean(axis=-1, keepdims=True)) * (
         1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-8)
     ) * gain + bias
     out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
-    assert np.array_equal(out, ref)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_residual_layer_norm_forward_matches_np_var_formula_of_the_sum_bitwise():
-    # the entity branch passes its residual as a permuted, non-contiguous view
+def _rms_rows_reference(u, g, eps=1e-8):
+    q = np.einsum("...i,...i->...", u @ g, u)[..., None]
+    return u * (1.0 / np.sqrt(np.maximum(q, 0.0) + eps))
+
+
+def test_rms_rows_forward_matches_reference_formula_bitwise():
+    # the entity branch's rows arrive as a permuted, non-contiguous view
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((3, 4, 5, 16)) * 3 + 1
-    res = np.transpose(rng.standard_normal((3, 5, 4, 16)), (0, 2, 1, 3))
-    gain, bias = rng.standard_normal(16), rng.standard_normal(16)
-    assert not res.flags.c_contiguous
-    for r in (res, np.ascontiguousarray(res)):
-        x = a + r
-        ref = (x - x.mean(axis=-1, keepdims=True)) * (
-            1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-8)
-        ) * gain + bias
-        out = ad.residual_layer_norm(Tensor(a), Tensor(r), Tensor(gain), Tensor(bias)).data
-        assert np.array_equal(out, ref)
+    u = np.transpose(rng.standard_normal((3, 5, 4, 12)) * 3 + 1, (0, 2, 1, 3))
+    a = rng.standard_normal((12, 16))
+    g = a @ a.T / 16
+    assert not u.flags.c_contiguous
+    for v in (u, np.ascontiguousarray(u)):
+        out = ad.rms_rows(Tensor(v), Tensor(g)).data
+        assert np.array_equal(out, _rms_rows_reference(v, g))
+
+
+def test_rms_rows_clamps_a_row_in_the_left_null_space():
+    """2p = 6 > d = 2: rows u with u Wc = 0 have a zero quadratic form,
+    which rounding takes below zero for some of them."""
+    rng = np.random.default_rng(10)
+    w = rng.standard_normal((6, 2))
+    w_c = w - w.mean(axis=1, keepdims=True)
+    g = w_c @ w_c.T / 2
+    null = np.linalg.svd(w_c.T)[2][2:]  # (4, 6) rows orthogonal to Wc's columns
+    u = 1e5 * (rng.standard_normal((64, 4)) @ null)
+    q = np.einsum("...i,...i->...", u @ g, u)
+    below = q < -1e-8
+    assert below.any()  # the case exists: without the clamp these rows are NaN
+    ut, gt = Tensor(u, requires_grad=True), Tensor(g, requires_grad=True)
+    out = ad.rms_rows(ut, gt)
+    assert np.all(np.isfinite(out.data))
+    np.testing.assert_array_equal(out.data[below], u[below] * (1.0 / np.sqrt(1e-8)))
+    ad.mean_all(out).backward()
+    assert np.all(np.isfinite(ut.grad)) and np.all(np.isfinite(gt.grad))
 
 
 def test_gather_rows_selects():
@@ -241,18 +289,21 @@ def test_gather_rows_rejects_bad_indices(idx):
         ad.gather_rows(Tensor(np.zeros((1, 4, 2))), idx)
 
 
-def test_layer_norm_rejects_gain_not_matching_last_axis():
-    with pytest.raises(ShapeError):
-        layer_norm(Tensor(np.zeros((2, 8))), Tensor(np.ones((2, 8))), Tensor(np.zeros(8)))
-
-
 @pytest.mark.parametrize("res_shape", [(2, 1, 8), (8,), (2, 3, 4), (3, 2, 8)])
 def test_residual_layer_norm_rejects_residual_not_matching_input(res_shape):
+    # concat_last rejects differing leading axes; a residual of another
+    # width makes u too wide for the gram, which rms_rows rejects
     with pytest.raises(ShapeError):
-        ad.residual_layer_norm(
+        residual_layer_norm(
             Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros(res_shape)),
             Tensor(np.ones(8)), Tensor(np.zeros(8)),
         )
+
+
+@pytest.mark.parametrize("g_shape", [(8,), (8, 7), (7, 8), (2, 8, 8)])
+def test_rms_rows_rejects_gram_not_matching_last_axis(g_shape):
+    with pytest.raises(ShapeError):
+        ad.rms_rows(Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros(g_shape)))
 
 
 def test_sigmoid_matches_reference_formula_bitwise():

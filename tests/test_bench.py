@@ -69,14 +69,17 @@ def test_forward_flops_affine_in_entities():
 
 
 def test_forward_flops_at_a_small_geometry():
-    # p=2, d=3, k=4, m=1, l=3, N=2, horizon=2, so n = N*l = 6 segments.
-    # shared: assignment 2*n*k*p + 2*n*p = 96 + 24, embedding n*p*d = 36 -> 156
+    # p=2, d=3, k=4, m=1, l=3, N=2, horizon=2, so n = N*l = 6 segments, w = 2p = 4.
+    # assignment: 2*n*k*p + 2*n*p = 96 + 24 -> 120
     # per branch: weight products 2*k*p*d + 2*k*d^2 + 2*p*d^2 = 48 + 72 + 36 = 156,
-    #   scores n*k*p + contexts n*k*p + value map n*p*d = 48 + 48 + 36 = 132 -> 288
-    # fusion: N*(4*m*l*d + m*(2*d^2 + d) + 2*m*d) = 2*(36 + 21 + 6) = 126
+    #   W's means, centring and gain 3*w*d = 36, gram w^2*d = 48, keys m*d*w = 12 -> 252;
+    #   per segment scores k*p + contexts k*p + u G w^2 + row dot w + readout 2*m*w
+    #   = 8 + 8 + 16 + 4 + 8 = 44, times n -> 264;
+    #   per entity readout map m*w*d + bias m*d = 12 + 3 = 15, times N -> 30; total 546
+    # gate: N*(m*(2*d^2 + d) + 2*m*d) = 2*(21 + 6) = 54
     # head: N*(m*d*horizon + horizon) = 2*(6 + 2) = 16
     h = HyperParams(p=2, d=3, m=1, k=4, lookback=6, horizon=2, n_entities=2)
-    assert count_forward_flops(h) == 156 + 2 * 288 + 126 + 16
+    assert count_forward_flops(h) == 120 + 2 * 546 + 54 + 16
 
 
 def test_peak_bytes_modes_and_validation():

@@ -1,5 +1,7 @@
 """Forecaster assembly: branches, gating, head, and input checking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,11 @@ from focus_forecast.model import (
 from focus_forecast.training import gradient_check
 
 HYPER = HyperParams(p=4, d=8, m=2, k=4, lookback=16, horizon=4, n_entities=3)
+
+
+def tokens(feature):
+    """The (..., rows, d) tokens a branch feature stands for, built for checking."""
+    return feature.scaled.data @ feature.out_map.data + feature.bias.data
 
 
 def make_params(seed=5, hyper=HYPER):
@@ -166,8 +173,8 @@ def test_forward_shape_and_determinism():
 def test_branch_feature_shapes():
     params = make_params()
     x = np.random.default_rng(1).standard_normal((2, HYPER.lookback, HYPER.n_entities))
-    assert extract_temporal(params, x).shape == (2, 3, HYPER.l, HYPER.d)
-    assert extract_entity(params, x).shape == (2, 3, HYPER.l, HYPER.d)
+    assert tokens(extract_temporal(params, x)).shape == (2, 3, HYPER.l, HYPER.d)
+    assert tokens(extract_entity(params, x)).shape == (2, 3, HYPER.l, HYPER.d)
 
 
 def test_forward_assigns_segments_once(monkeypatch):
@@ -264,19 +271,20 @@ def test_branch_matches_d_wide_bucket_form_for_few_and_many_rows():
     params = make_params(seed=10, hyper=hyper)
     w = params.arrays()
     x = np.random.default_rng(15).standard_normal((2, hyper.lookback, hyper.n_entities))
-    raw, idx, embedded = model_module._segment(params, x)
+    raw, idx = model_module._segment(params, x)
     pe = params.protos.prototypes @ w["w_in"]
-    for prefix, r, i, emb in (
-        ("t", raw, idx, embedded.data),
-        ("e", raw.transpose(0, 2, 1, 3), idx.transpose(0, 2, 1), embedded.data.transpose(0, 2, 1, 3)),
+    for prefix, r, i in (
+        ("t", raw, idx),
+        ("e", raw.transpose(0, 2, 1, 3), idx.transpose(0, 2, 1)),
     ):
+        emb = r @ w["w_in"]
         q_raw = (pe @ w[f"{prefix}_we"]) @ w[f"{prefix}_wk"].T @ w["w_in"].T
         w_val = w["w_in"] @ w[f"{prefix}_wv"] @ w[f"{prefix}_wo"]
         scores = q_raw @ np.swapaxes(r, -1, -2) / np.sqrt(hyper.d)
         bucket = _np_softmax(scores) @ (r @ w_val)
         gathered = np.take_along_axis(bucket, i[..., None], axis=-2)
         ref = _np_ln(gathered + emb, w[f"ln_{prefix}_gain"], w[f"ln_{prefix}_bias"])
-        out = model_module._branch(params, r, i, Tensor(emb), prefix).data
+        out = tokens(model_module._branch(params, r, i, prefix))
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref)), prefix
 
 
@@ -287,25 +295,61 @@ def test_zero_input_yields_layer_norm_bias_tokens():
     bias = np.random.default_rng(3).standard_normal(HYPER.d)
     params.tensors["ln_t_bias"].data[:] = bias
     x = np.zeros((2, HYPER.lookback, HYPER.n_entities))
-    tokens = extract_temporal(params, x).data
-    np.testing.assert_array_equal(tokens, np.broadcast_to(bias, tokens.shape))
+    out = tokens(extract_temporal(params, x))
+    np.testing.assert_array_equal(out, np.broadcast_to(bias, out.shape))
+
+
+def test_width_one_tokens_equal_layer_norm_bias():
+    """At d = 1 a layer-normed token is its bias: the centred map is zero
+    and the clamped scale stays finite."""
+    hyper = HyperParams(p=4, d=1, m=2, k=4, lookback=16, horizon=4, n_entities=3)
+    params = make_params(hyper=hyper)
+    rng = np.random.default_rng(16)
+    for prefix in ("t", "e"):
+        params.tensors[f"ln_{prefix}_bias"].data[:] = rng.standard_normal(1)
+    x = rng.standard_normal((2, hyper.lookback, hyper.n_entities))
+    for prefix, extract in (("t", extract_temporal), ("e", extract_entity)):
+        out = tokens(extract(params, x))
+        bias = params.tensors[f"ln_{prefix}_bias"].data
+        np.testing.assert_array_equal(out, np.broadcast_to(bias, out.shape))
+    assert np.all(np.isfinite(predict(params, x)))
 
 
 def test_default_norm_gives_standardized_tokens():
     params = make_params()
     x = np.random.default_rng(4).standard_normal((4, HYPER.lookback, HYPER.n_entities))
-    tokens = extract_temporal(params, x).data
-    np.testing.assert_allclose(tokens.mean(axis=-1), 0.0, atol=1e-5)
-    np.testing.assert_allclose(tokens.var(axis=-1), 1.0, atol=1e-5)
+    out = tokens(extract_temporal(params, x))
+    np.testing.assert_allclose(out.mean(axis=-1), 0.0, atol=1e-5)
+    np.testing.assert_allclose(out.var(axis=-1), 1.0, atol=1e-5)
 
 
 def test_identical_entities_share_temporal_features():
     params = make_params()
     series = np.random.default_rng(5).standard_normal((2, HYPER.lookback))
     x = np.repeat(series[:, :, None], HYPER.n_entities, axis=2)
-    tokens = extract_temporal(params, x).data
+    out = tokens(extract_temporal(params, x))
     for n in range(1, HYPER.n_entities):
-        np.testing.assert_array_equal(tokens[:, n], tokens[:, 0])
+        np.testing.assert_array_equal(out[:, n], out[:, 0])
+
+
+def test_temporal_branch_never_builds_a_rows_by_d_array():
+    """Every per-segment array stays 2p wide: at d = 32p one (rows, d)
+    float64 array would be 1 MiB, above the whole branch's peak."""
+    hyper = HyperParams(p=4, d=128, m=2, k=4, lookback=256, horizon=4, n_entities=4)
+    params = make_params(hyper=hyper)
+    x = np.random.default_rng(17).standard_normal((4, hyper.lookback, hyper.n_entities))
+    rows_by_d = 4 * hyper.n_entities * hyper.l * hyper.d * 8
+    assert rows_by_d == 1_048_576
+    with no_grad():
+        extract_temporal(params, x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            extract_temporal(params, x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peak < rows_by_d, peak
 
 
 def test_entity_permutation_equivariance():
