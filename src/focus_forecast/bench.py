@@ -36,6 +36,7 @@ from .protoattn import (
     count_flops,
     count_flops_full,
     full_attention,
+    kernel_flops_per_row,
     proto_attention,
 )
 from .training import train
@@ -143,22 +144,23 @@ def _fit_slope(sizes, seconds) -> tuple[float, float]:
     return float(coeffs[0]), float(res[0]) if res.size else 0.0
 
 
-def estimate_peak_bytes(l: int, k: int, d: int, p: int, mode: str = "proto") -> int:
-    """Float64 bytes of the largest simultaneously live arrays.
+def estimate_peak_bytes(l: int, k: int, d: int, mode: str = "proto") -> int:
+    """Float64 bytes one attention call allocates at its peak, for l
+    d-wide segments and k prototypes.
 
-    Both paths hold the raw segments (l*p), prototypes (k*p), and the
-    assignment distance matrix (l*k). The linear path adds embedded
-    window/key/value/output rows (4*l*d), score plus softmax rows (2*k*l),
-    and prototype-side rows (3*k*d); the quadratic path instead holds
-    per-segment queries (5*l*d total) and l-by-l score/softmax matrices
-    (2*l*l).
+    Both wrappers first form the (k, d) queries P w_e and q_raw. The
+    prototype path then holds the kernel's (k, l) scores and its
+    softmax's shifted scores, exponentials and output (4*k*l), next to
+    the queries and the scaled queries (3*k*d); after the kernel, the
+    gather writes the (l, d) output next to the k context rows and their
+    value maps. The quadratic path holds the gathered and scaled queries
+    (2*l*d) and three (l, l) score and softmax arrays (3*l*l).
     """
     if mode not in ("proto", "full"):
         raise ConfigError(f"mode must be 'proto' or 'full', got {mode!r}")
-    shared = l * p + k * p + l * k
     if mode == "proto":
-        return 8 * (shared + 4 * l * d + 2 * k * l + 3 * k * d)
-    return 8 * (shared + 5 * l * d + 2 * l * l)
+        return 8 * (max(4 * k * l, l * d) + 3 * k * d)
+    return 8 * (2 * l * d + 3 * l * l)
 
 
 def count_forward_flops(h: HyperParams) -> int:
@@ -169,8 +171,8 @@ def count_forward_flops(h: HyperParams) -> int:
     assignment, once; per branch, the weight products (the (k, p)
     raw-space queries, the (p, d) value map, the row means, centring and
     gain of the (w, d) layer-norm map W, its (w, w) gram matrix, and the
-    readout keys q_read Wg^T), then per segment the p-wide scores against
-    k queries, its share of the k p-wide bucket contexts, the quadratic
+    readout keys q_read Wg^T), then per segment the attention kernel at
+    row width p (`protoattn.kernel_flops_per_row`), the quadratic
     form u G u^T of its w-wide row, and m w-wide readout scores and
     aggregations, and per entity the readout's (m, w) x (w, d) map and
     bias; then the gate (with its bias and blend) and the head. The
@@ -183,7 +185,7 @@ def count_forward_flops(h: HyperParams) -> int:
         2 * h.k * h.p * h.d + 2 * h.k * h.d * h.d + 2 * h.p * h.d * h.d
         + 3 * w * h.d + w * w * h.d + h.m * h.d * w
     )
-    per_segment = 2 * h.k * h.p + w * w + w + 2 * h.m * w
+    per_segment = kernel_flops_per_row(h.k, h.p) + w * w + w + 2 * h.m * w
     per_entity = h.m * w * h.d + h.m * h.d
     branch = weights + n * per_segment + h.n_entities * per_entity
     gate = h.n_entities * (h.m * (2 * h.d * h.d + h.d) + 2 * h.m * h.d)
@@ -292,10 +294,10 @@ def scaling_sweep(
         medians.append(med)
         if mode == "protoattn":
             flops = count_flops(l, k, d, p).total
-            peak = estimate_peak_bytes(l, k, d, p, "proto")
+            peak = estimate_peak_bytes(l, k, d, "proto")
         elif mode == "full_attn":
             flops = count_flops_full(l, d)
-            peak = estimate_peak_bytes(l, k, d, p, "full")
+            peak = estimate_peak_bytes(l, k, d, "full")
         else:
             hyper = HyperParams(
                 p=p, d=d, m=m, k=k, lookback=l * p, horizon=horizon, n_entities=n_entities

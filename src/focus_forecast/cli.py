@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import SWEEP_MODES, scaling_sweep
+from .bench import SWEEP_MODES, BenchReport, scaling_sweep
 from .clustering import FitMeta, PrototypeSet, fit
 from .config import resolve_config
 from .container import load_model, load_prototypes, save_model, save_prototypes
@@ -195,10 +195,15 @@ def cmd_bench(args) -> int:
         raise ConfigError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}"
         ) from None
-    report = scaling_sweep(
-        args.mode, sizes, k=cfg.k, d=cfg.d, p=cfg.p, m=cfg.m, seed=cfg.seed
+    reports = [
+        scaling_sweep(mode.strip(), sizes, k=cfg.k, d=cfg.d, p=cfg.p, m=cfg.m, seed=cfg.seed)
+        for mode in args.mode.split(",")
+    ]
+    merged = BenchReport(
+        rows=tuple(row for r in reports for row in r.rows),
+        slopes={mode: slope for r in reports for mode, slope in r.slopes.items()},
     )
-    sys.stdout.write(report.to_csv())
+    sys.stdout.write(merged.to_csv())
     return 0
 
 
@@ -280,7 +285,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("bench", help="cost/scaling measurements")
-    p.add_argument("--mode", required=True, choices=SWEEP_MODES)
+    p.add_argument(
+        "--mode", required=True, help=f"comma-separated subset of {', '.join(SWEEP_MODES)}"
+    )
     p.add_argument("--sizes", required=True, help="comma-separated segment counts")
     common(p)
     p.set_defaults(func=cmd_bench)

@@ -55,7 +55,7 @@ class PrototypeSet:
             raise ConfigError("prototypes must be a k x p matrix")
         if self.k < 1 or self.p < 2:
             raise ConfigError(f"need k >= 1 and p >= 2, got k={self.k}, p={self.p}")
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # NaN too
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not np.all(np.isfinite(self.prototypes)):
             raise NumericalError("non-finite value in tensor 'prototypes'")

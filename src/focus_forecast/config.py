@@ -15,6 +15,8 @@ from .clustering import CLUSTER_OPT_DEFAULTS, DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .errors import ConfigError, ParseError
 from .optim import OptimizerConfig
 
+_OPT_DEFAULTS = OptimizerConfig()
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -33,28 +35,20 @@ class RunConfig:
     lookback: int = 512
     horizon: int = 96
     # online optimizer
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-4
-    max_epochs: int = 100
-    batch_size: int = 32
-    patience: int = 5
+    lr: float = _OPT_DEFAULTS.lr
+    beta1: float = _OPT_DEFAULTS.beta1
+    beta2: float = _OPT_DEFAULTS.beta2
+    eps: float = _OPT_DEFAULTS.eps
+    weight_decay: float = _OPT_DEFAULTS.weight_decay
+    max_epochs: int = _OPT_DEFAULTS.max_epochs
+    batch_size: int = _OPT_DEFAULTS.batch_size
+    patience: int = _OPT_DEFAULTS.patience
     # all stochastic stages derive from this
     seed: int = 0
 
     def optimizer(self) -> OptimizerConfig:
         return OptimizerConfig(
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-            max_epochs=self.max_epochs,
-            batch_size=self.batch_size,
-            patience=self.patience,
-            seed=self.seed,
+            **{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)}
         )
 
     def cluster_optimizer(self) -> OptimizerConfig:

@@ -130,6 +130,14 @@ def _scalar_item(tensors: dict[str, np.ndarray], name: str, path):
     return arr.item()
 
 
+def _int_item(tensors: dict[str, np.ndarray], name: str, path) -> int:
+    value = _scalar_item(tensors, name, path)
+    # a float entry can hold NaN, an infinity or a fraction
+    if not float(value).is_integer():
+        raise ContainerError(f"{path}: '{name}' must be a whole number, got {value}")
+    return int(value)
+
+
 def prototype_entries(protos: PrototypeSet, prefix: str = "") -> dict[str, np.ndarray]:
     seed = protos.fit_meta.seed if protos.fit_meta is not None else 0
     return {
@@ -144,9 +152,9 @@ def prototype_entries(protos: PrototypeSet, prefix: str = "") -> dict[str, np.nd
 def _protos_from_entries(tensors, path, prefix: str = "") -> PrototypeSet:
     rows = np.asarray(_require(tensors, f"{prefix}prototypes", path), dtype=np.float64)
     alpha = float(_scalar_item(tensors, f"{prefix}alpha", path))
-    k = int(_scalar_item(tensors, f"{prefix}k", path))
-    p = int(_scalar_item(tensors, f"{prefix}p", path))
-    seed = int(_scalar_item(tensors, f"{prefix}seed", path))
+    k = _int_item(tensors, f"{prefix}k", path)
+    p = _int_item(tensors, f"{prefix}p", path)
+    seed = _int_item(tensors, f"{prefix}seed", path)
     if rows.shape != (k, p):
         raise ContainerError(
             f"{path}: prototypes shaped {rows.shape}, but scalars say ({k}, {p})"
@@ -198,7 +206,7 @@ def load_model(path: str | Path):
     """
     tensors = read_container(path)
     hyper = HyperParams(
-        **{name: int(_scalar_item(tensors, f"hyper/{name}", path)) for name in HYPER_FIELDS}
+        **{name: _int_item(tensors, f"hyper/{name}", path) for name in HYPER_FIELDS}
     )
     protos = _protos_from_entries(tensors, path, prefix="protos/")
     arrays = {}

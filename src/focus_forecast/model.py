@@ -4,10 +4,11 @@ A lookback window is cut two ways: per entity into l temporal segments,
 and per time block into one segment per entity. Both cuts hold the same
 (N, l) grid of length-p segments, so a forward pass segments and assigns
 once, and the entity branch reads that grid with its N and l axes
-swapped. Both branches run the same prototype-attention kernel (separate
-projection weights, shared input embedding), get a residual + layer
-norm, and are reduced by m readout queries. A sigmoid gate blends the
-branch readouts before the linear forecast head.
+swapped. Both branches call the one prototype-attention kernel,
+`protoattn.bucket_contexts` (separate projection weights, shared input
+embedding), get a residual + layer norm, and are reduced by m readout
+queries. A sigmoid gate blends the branch readouts before the linear
+forecast head.
 
 The input embedding is linear, so each branch absorbs it, with the key,
 value and output projections, into small weight products (see
@@ -30,6 +31,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import PrototypeSet, _assign_arr
 from .errors import ConfigError, ShapeError
+from .protoattn import bucket_contexts
 from .util import require_finite, seed_stream
 
 
@@ -189,10 +191,11 @@ def _branch(params: ModelParams, raw: np.ndarray, idx: np.ndarray, prefix: str) 
     two weight products that are computed once per call:
     Q (E w_k)^T = (Q w_k^T w_in^T) raw^T, a (k, p) query against raw
     segments, and (S E w_v) w_o = (S raw) (w_in w_v w_o) with the (p, d)
-    value map w_val. So the k bucket contexts S raw are p wide, and each
-    segment gathers its prototype's context row. The residual sum is then
-    u W, with u = [gathered context | raw] (..., rows, 2p) and
-    W = [w_val; w_in] (2p, d). Its layer norm is r (u Wc) gain + bias with
+    value map w_val. So the k bucket contexts S raw are p wide; they come
+    from `protoattn.bucket_contexts`, and each segment gathers its
+    prototype's context row. The residual sum is then u W, with
+    u = [gathered context | raw] (..., rows, 2p) and W = [w_val; w_in]
+    (2p, d). Its layer norm is r (u Wc) gain + bias with
     Wc = W minus its row means and r = 1/sqrt(max(u G u^T, 0) + eps),
     G = Wc Wc^T / d, so the branch returns r u with Wg = Wc gain and the
     bias, and no (rows, d) array is built. Gradients reach every weight
@@ -207,8 +210,7 @@ def _branch(params: ModelParams, raw: np.ndarray, idx: np.ndarray, prefix: str) 
         ad.matmul(queries, ad.transpose_last(t[f"{prefix}_wk"])), ad.transpose_last(w_in)
     )  # (k, p)
     w_val = ad.matmul(ad.matmul(w_in, t[f"{prefix}_wv"]), t[f"{prefix}_wo"])  # (p, d)
-    scores = ad.matmul(ad.scale(q_raw, 1.0 / np.sqrt(h.d)), ad.constant(np.swapaxes(raw, -1, -2)))
-    contexts = ad.matmul(ad.softmax(scores), ad.constant(raw))  # (..., k, p)
+    contexts = bucket_contexts(q_raw, raw, 1.0 / np.sqrt(h.d))  # (..., k, p)
     u = ad.concat_last(ad.gather_rows(contexts, idx), ad.constant(raw))  # (..., rows, 2p)
     w = ad.transpose_last(
         ad.concat_last(ad.transpose_last(w_val), ad.transpose_last(w_in))

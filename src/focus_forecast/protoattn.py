@@ -2,10 +2,15 @@
 
 Instead of attending from every segment (quadratic), attention scores are
 computed once per prototype against the window, and each segment reads
-the output row of its assigned prototype. The output projection is
-applied to the k bucket rows before the gather — algebraically the same
-as projecting after, but cheaper, and it makes rows of segments sharing
-a bucket literal memory copies of each other.
+the context row of its assigned prototype: the broadcast step of
+clustered attention. `bucket_contexts` is the one kernel. The
+forecaster's branches (`model._branch`) and `proto_attention` both call
+it, with or without gradients. Queries and keys are linear maps, so the
+key map folds into a (k, w) query in the segments' own space, and the
+value and output maps are applied to the k context rows before the
+gather, which makes rows of segments sharing a bucket literal copies of
+each other. `full_attention` is an independent quadratic oracle for the
+same function.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from .autodiff import Tensor
 from .clustering import PrototypeSet, _assign_arr
 from .errors import ConfigError, NumericalError, ShapeError
 
@@ -35,17 +42,12 @@ class AssignmentMatrix:
     def l(self) -> int:
         return self.indices.shape[0]
 
-    def one_hot(self) -> np.ndarray:
-        a = np.zeros((self.l, self.k))
-        a[np.arange(self.l), self.indices] = 1.0
-        return a
-
 
 @dataclass(frozen=True)
 class ProtoAttnWeights:
     """Projections: query/key/value map inputs (width p_in) to d; the
-    output projection is d to d. The forecaster embeds segments first,
-    so there p_in == d."""
+    output projection is d to d. Embedded segments have p_in == d; the
+    forecaster instead folds its embedding into the weights."""
 
     w_e: np.ndarray  # (p_in, d), applied to prototypes
     w_k: np.ndarray  # (p_in, d)
@@ -87,10 +89,16 @@ def build_assignment(segments: np.ndarray, protos: PrototypeSet) -> AssignmentMa
     return AssignmentMatrix(indices=state.assignment, k=protos.k)
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def bucket_contexts(q_raw: Tensor, raw: np.ndarray, scale: float) -> Tensor:
+    """The k bucket contexts softmax(scale q_raw raw^T) raw, (..., k, w).
+
+    q_raw (k, w) holds the prototypes' queries in the segments' space and
+    raw (..., rows, w) the segments; each segment reads its prototype's
+    row. Built from autodiff ops, so gradients reach q_raw whenever they
+    are recorded. Costs `kernel_flops_per_row(k, w)` per segment.
+    """
+    scores = ad.matmul(ad.scale(q_raw, scale), ad.constant(np.swapaxes(raw, -1, -2)))
+    return ad.matmul(ad.softmax(scores), ad.constant(raw))
 
 
 def _check_inputs(segments, assignment, protos_emb, weights):
@@ -116,15 +124,15 @@ def proto_attention(
     """Attend once per prototype over the window, then gather per segment.
 
     segments and protos_emb are in input space (l, p_in) / (k, p_in).
-    Cost is O(l * k * d + (l + k) * d^2); returns (l, d).
+    Scores (P w_e)(S w_k)^T equal q_raw S^T with q_raw = (P w_e) w_k^T,
+    so `bucket_contexts` runs on the segments themselves, and the value
+    and output maps run on its k rows before the gather. Cost is
+    O(l * k * p_in + k * d^2); returns (l, d).
     """
     _check_inputs(segments, assignment, protos_emb, weights)
-    queries = protos_emb @ weights.w_e
-    keys = segments @ weights.w_k
-    values = segments @ weights.w_v
-    scores = queries @ keys.T * weights.scale
-    bucket_out = (_softmax_rows(scores) @ values) @ weights.w_o  # (k, d)
-    return bucket_out[assignment.indices]
+    q_raw = (protos_emb @ weights.w_e) @ weights.w_k.T  # (k, p_in)
+    contexts = bucket_contexts(ad.constant(q_raw), segments, weights.scale).data
+    return ((contexts @ weights.w_v) @ weights.w_o)[assignment.indices]
 
 
 def full_attention(
@@ -135,14 +143,23 @@ def full_attention(
 ) -> np.ndarray:
     """Quadratic reference: each segment queries with its prototype's row.
 
-    Mathematically identical output to proto_attention, at O(l^2) cost.
+    Plain numpy, independent of `bucket_contexts`: an (l, l) softmax over
+    the segments per query row q_raw[idx], then the value and output maps
+    on all l rows. Mathematically identical output to proto_attention, at
+    O(l^2) cost.
     """
     _check_inputs(segments, assignment, protos_emb, weights)
-    queries = (protos_emb @ weights.w_e)[assignment.indices]  # (l, d)
-    keys = segments @ weights.w_k
-    values = segments @ weights.w_v
-    scores = queries @ keys.T * weights.scale
-    return (_softmax_rows(scores) @ values) @ weights.w_o
+    q_raw = (protos_emb @ weights.w_e) @ weights.w_k.T  # (k, p_in)
+    scores = (weights.scale * q_raw[assignment.indices]) @ segments.T  # (l, l)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return ((attn @ segments) @ weights.w_v) @ weights.w_o
+
+
+def kernel_flops_per_row(k: int, w: int) -> int:
+    """Multiply-adds `bucket_contexts` spends per segment of width w: its
+    column of the (k, rows) scores and its share of the k contexts."""
+    return 2 * k * w
 
 
 @dataclass(frozen=True)
@@ -152,36 +169,34 @@ class FlopCount:
     assignment: int
     projections: int
     attention: int
-    scatter: int
 
     @property
     def total(self) -> int:
-        return self.assignment + self.projections + self.attention + self.scatter
+        return self.assignment + self.projections + self.attention
 
 
 def count_flops(l: int, k: int, d: int, p: int) -> FlopCount:
     """Cost model for one prototype-attention pass over l segments.
 
-    assignment: composite distances of l raw segments against k raw
-    prototypes. projections: prototype embedding (k*d^2) plus key, value,
-    and per-segment output projection (3*l*d^2; the kernel actually
-    projects k bucket rows, which is cheaper, so this is an upper bound).
-    attention: scores plus value aggregation. scatter: one-hot
-    matrix-multiply model of routing bucket rows back to segments.
+    assignment: composite distances of l raw length-p segments against k
+    raw prototypes. projections: the maps on k rows, the two query
+    products (P w_e) w_k^T and the value maps (C w_v) w_o, with the
+    segments embedded to p_in = d. attention: the kernel on l d-wide
+    segments. The gather copies rows and is not counted.
     """
     if min(l, k, d, p) < 0:
         raise ConfigError("flop counts need non-negative sizes")
     return FlopCount(
         assignment=2 * l * k * p + 2 * l * p,
-        projections=(3 * l + k) * d * d,
-        attention=2 * k * l * d,
-        scatter=l * k * d,
+        projections=4 * k * d * d,
+        attention=l * kernel_flops_per_row(k, d),
     )
 
 
 def count_flops_full(l: int, d: int) -> int:
     """Cost model for the quadratic reference: l^2-sized score and
-    aggregation stages plus key/value/output projections per segment."""
+    aggregation stages plus the value and output maps per segment. The
+    (k, d) query products do not grow with l and are left out."""
     if min(l, d) < 0:
         raise ConfigError("flop counts need non-negative sizes")
-    return 2 * l * l * d + 3 * l * d * d
+    return 2 * l * l * d + 2 * l * d * d

@@ -23,7 +23,14 @@ from focus_forecast.data import generate_synthetic, split_and_normalize
 from focus_forecast.errors import ConfigError
 from focus_forecast.model import HyperParams, init_params, predict
 from focus_forecast.optim import OptimizerConfig
-from focus_forecast.protoattn import count_flops, count_flops_full
+from focus_forecast.protoattn import (
+    AssignmentMatrix,
+    ProtoAttnWeights,
+    count_flops,
+    count_flops_full,
+    full_attention,
+    proto_attention,
+)
 
 
 def hyper_at(l, n=4):
@@ -83,12 +90,12 @@ def test_forward_flops_at_a_small_geometry():
 
 
 def test_peak_bytes_modes_and_validation():
-    proto = estimate_peak_bytes(512, 16, 64, 16, "proto")
-    full = estimate_peak_bytes(512, 16, 64, 16, "full")
+    proto = estimate_peak_bytes(512, 16, 64, "proto")
+    full = estimate_peak_bytes(512, 16, 64, "full")
     assert full > proto  # the l-by-l score matrix dominates at this size
     assert estimate_model_peak_bytes(hyper_at(8)) > 0
     with pytest.raises(ConfigError):
-        estimate_peak_bytes(8, 2, 4, 4, "banana")
+        estimate_peak_bytes(8, 2, 4, "banana")
 
 
 @pytest.mark.parametrize(
@@ -112,6 +119,25 @@ def test_model_peak_estimate_within_2x_of_traced_peak(hyper):
     finally:
         tracemalloc.stop()
     assert 0.5 <= estimate_model_peak_bytes(hyper) / peak <= 2.0
+
+
+@pytest.mark.parametrize("mode", ["proto", "full"])
+@pytest.mark.parametrize("l,k,d", [(512, 16, 64), (64, 4, 8), (100, 2, 128)])
+def test_attention_peak_estimate_within_2x_of_traced_peak(mode, l, k, d):
+    rng = np.random.default_rng(0)
+    segs, protos_emb = rng.standard_normal((l, d)), rng.standard_normal((k, d))
+    a = AssignmentMatrix(indices=rng.integers(k, size=l), k=k)
+    w = ProtoAttnWeights(*(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)))
+    call = proto_attention if mode == "proto" else full_attention
+    call(segs, a, protos_emb, w)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call(segs, a, protos_emb, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0.5 <= estimate_peak_bytes(l, k, d, mode) / peak <= 2.0
 
 
 # --------------------------------------------------------------- helpers
@@ -182,7 +208,7 @@ def test_scaling_sweep_rows_and_csv():
         assert row.experiment == "protoattn"
         assert row.median_ns > 0
         assert row.flops == count_flops(row.size, 4, 8, 4).total
-        assert row.peak_bytes == estimate_peak_bytes(row.size, 4, 8, 4, "proto")
+        assert row.peak_bytes == estimate_peak_bytes(row.size, 4, 8, "proto")
     assert "protoattn" in report.slopes
 
     csv = report.to_csv()

@@ -205,6 +205,21 @@ def test_bench_csv_and_bad_sizes(tmp_path):
     assert run(["bench", "--mode", "protoattn", "--sizes", "8;16"])[0] == 1
     assert run(["bench", "--mode", "protoattn", "--sizes", "8,16"])[0] == 1
 
+    # several modes print one CSV with one header, grouped by experiment
+    code, out, _ = run(["bench", "--mode", "protoattn,full_attn", "--sizes", "8,16,32",
+                        "--config", str(cfg)])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "experiment,size,median_ns,flops,peak_bytes,slope"
+    assert len(lines) == 7
+    assert [line.split(",")[0] for line in lines[1:]] == ["protoattn"] * 3 + ["full_attn"] * 3
+    assert lines[3].split(",")[-1] != "" and lines[6].split(",")[-1] != ""
+
+    code, _, err = run(["bench", "--mode", "protoattn,warp", "--sizes", "8,16,32",
+                        "--config", str(cfg)])
+    assert code == 1
+    assert "warp" in err
+
 
 def test_gradcheck_passes(tmp_path):
     code, out, _ = run(["gradcheck", "--seed", "0"])

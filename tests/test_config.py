@@ -4,6 +4,7 @@ import pytest
 
 from focus_forecast.config import RunConfig, read_config_file, resolve_config
 from focus_forecast.errors import ConfigError, ParseError
+from focus_forecast.optim import OptimizerConfig
 
 
 def test_defaults():
@@ -108,6 +109,10 @@ def test_optimizer_mapping():
     opt = cfg.optimizer()
     assert (opt.lr, opt.weight_decay) == (0.02, 0.3)
     assert (opt.max_epochs, opt.batch_size, opt.patience, opt.seed) == (7, 4, 2, 5)
+
+
+def test_default_run_config_maps_to_default_optimizer():
+    assert RunConfig().optimizer() == OptimizerConfig()
 
 
 def test_cluster_optimizer_mapping():

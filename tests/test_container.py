@@ -16,7 +16,7 @@ from focus_forecast.container import (
     save_prototypes,
     write_container,
 )
-from focus_forecast.errors import ContainerError
+from focus_forecast.errors import ConfigError, ContainerError
 from focus_forecast.model import HyperParams, init_params, predict
 
 
@@ -173,6 +173,30 @@ def test_prototype_scalar_consistency_check(tmp_path):
     tensors["k"] = np.asarray(3, dtype=np.int64)
     write_container(path, tensors)
     with pytest.raises(ContainerError):
+        load_prototypes(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
+@pytest.mark.parametrize("name", ["hyper/p", "protos/k", "protos/seed"])
+def test_model_load_rejects_integer_field_that_is_not_whole(tmp_path, name, value):
+    # int() of a float NaN or infinity raised ValueError/OverflowError
+    path = tmp_path / "model.bin"
+    hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
+    save_model(path, init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0)))
+    tensors = read_container(path)
+    tensors[name] = np.asarray(value)
+    write_container(path, tensors)
+    with pytest.raises(ContainerError, match="whole number"):
+        load_model(path)
+
+
+def test_prototype_load_rejects_nan_alpha(tmp_path):
+    path = tmp_path / "protos.bin"
+    save_prototypes(path, PrototypeSet(np.zeros((2, 4)), alpha=0.0))
+    tensors = read_container(path)
+    tensors["alpha"] = np.asarray(np.nan)
+    write_container(path, tensors)
+    with pytest.raises(ConfigError, match="alpha"):
         load_prototypes(path)
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from focus_forecast import clustering
+from focus_forecast import clustering, protoattn
 from focus_forecast import model as model_module
 from focus_forecast.autodiff import Tensor, no_grad
 from focus_forecast.clustering import PrototypeSet, _assign_arr
@@ -188,6 +188,29 @@ def test_forward_assigns_segments_once(monkeypatch):
     x = np.random.default_rng(12).standard_normal((2, HYPER.lookback, HYPER.n_entities))
     forward(make_params(), x)
     assert calls == [(2 * HYPER.n_entities * HYPER.l, HYPER.p)]
+
+
+def test_forward_and_proto_attention_run_the_one_kernel(monkeypatch):
+    kernel = protoattn.bucket_contexts
+    calls = []
+
+    def counting(q_raw, raw, scale):
+        calls.append(raw.shape)
+        return kernel(q_raw, raw, scale)
+
+    monkeypatch.setattr(model_module, "bucket_contexts", counting)
+    monkeypatch.setattr(protoattn, "bucket_contexts", counting)
+    x = np.random.default_rng(14).standard_normal((2, HYPER.lookback, HYPER.n_entities))
+    forward(make_params(), x)
+    n, l, p = HYPER.n_entities, HYPER.l, HYPER.p
+    assert calls == [(2, n, l, p), (2, l, n, p)]  # temporal, then entity branch
+
+    calls.clear()
+    rng = np.random.default_rng(15)
+    w = protoattn.ProtoAttnWeights(*(rng.standard_normal((4, 4)) for _ in range(4)))
+    a = protoattn.AssignmentMatrix(indices=rng.integers(3, size=6), k=3)
+    protoattn.proto_attention(rng.standard_normal((6, 4)), a, rng.standard_normal((3, 4)), w)
+    assert calls == [(6, 4)]
 
 
 def test_predict_equals_public_branch_composition_bit_for_bit():
