@@ -1,9 +1,9 @@
 """Measurement harness for the efficiency and approximation claims.
 
-Covers: analytic FLOP counts and interleaved wall-clock timing of the
-linear kernel, the quadratic reference, and the whole model; a rank-r
-probe of how well prototype rows reproduce segment-matrix products; and
-an ablation of the correlation term in prototype fitting.
+Covers: analytic FLOP counts, interleaved wall-clock timing and traced
+peak memory of the linear kernel, the quadratic reference, and the whole
+model; a rank-r probe of how well prototype rows reproduce segment-matrix
+products; and an ablation of the correlation term in prototype fitting.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import functools
 import glob
 import os
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from .clustering import PrototypeSet, _assign_arr, fit, pearson_corr
 from .data import SegmentMatrix, TimeSeriesDataset, segment
 from .errors import ConfigError
 from .model import HyperParams, init_params, predict
-from .optim import OptimizerConfig
 from .protoattn import (
     ProtoAttnWeights,
     build_assignment,
@@ -39,7 +39,6 @@ from .protoattn import (
     kernel_flops_per_row,
     proto_attention,
 )
-from .training import train
 from .util import seed_stream
 
 WARMUP_REPS = 2
@@ -144,23 +143,17 @@ def _fit_slope(sizes, seconds) -> tuple[float, float]:
     return float(coeffs[0]), float(res[0]) if res.size else 0.0
 
 
-def estimate_peak_bytes(l: int, k: int, d: int, mode: str = "proto") -> int:
-    """Float64 bytes one attention call allocates at its peak, for l
-    d-wide segments and k prototypes.
-
-    Both wrappers first form the (k, d) queries P w_e and q_raw. The
-    prototype path then holds the kernel's (k, l) scores and its
-    softmax's shifted scores, exponentials and output (4*k*l), next to
-    the queries and the scaled queries (3*k*d); after the kernel, the
-    gather writes the (l, d) output next to the k context rows and their
-    value maps. The quadratic path holds the gathered and scaled queries
-    (2*l*d) and three (l, l) score and softmax arrays (3*l*l).
-    """
-    if mode not in ("proto", "full"):
-        raise ConfigError(f"mode must be 'proto' or 'full', got {mode!r}")
-    if mode == "proto":
-        return 8 * (max(4 * k * l, l * d) + 3 * k * d)
-    return 8 * (2 * l * d + 3 * l * l)
+def traced_peak_bytes(fn) -> int:
+    """Peak bytes that one call of `fn()` allocates above what was live
+    when it started, as `tracemalloc` sees them (numpy array buffers
+    included)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def count_forward_flops(h: HyperParams) -> int:
@@ -193,34 +186,6 @@ def count_forward_flops(h: HyperParams) -> int:
     return assign + 2 * branch + gate + head
 
 
-def estimate_model_peak_bytes(h: HyperParams) -> int:
-    """Analytic float64 peak of a batch-1 forward pass over n = N*l segments.
-
-    The raw segments and their prototype indices (n*p + n) live
-    throughout, and w = 2p is a branch's row width. On top of them the
-    peak is the largest of four stages. The assignment holds the
-    centred-unit rows and a temporary (2*n*p) and about three (n, k)
-    distance terms. A branch over groups of rows holds its (k, rows)
-    scores (k*n), k p-wide contexts per group, the w-wide rows u, u G and
-    r u (3*w*n), and its small weight products (about three (w, d) maps
-    and two (w, w) gram matrices). The entity branch also keeps the
-    temporal feature and map (w*n + w*d). The fusion holds both
-    features and maps (2*w*n + 2*w*d) and about six (m, d) arrays per
-    entity in the gate and the blend.
-    """
-    n = h.n_entities * h.l
-    w = 2 * h.p
-    weights = 3 * w * h.d + 2 * w * w
-
-    def branch(groups: int) -> int:
-        return h.k * n + groups * h.k * h.p + 3 * w * n + weights
-
-    assign = 2 * n * h.p + 3 * n * h.k
-    fusion = 2 * w * n + 2 * w * h.d + 6 * h.n_entities * h.m * h.d
-    stage = max(assign, branch(h.n_entities), w * n + w * h.d + branch(h.l), fusion)
-    return 8 * (n * h.p + n + stage)
-
-
 def scaling_sweep(
     mode: str,
     sizes: list[int] | tuple[int, ...],
@@ -236,8 +201,9 @@ def scaling_sweep(
 
     Sizes are visited round-robin within each repetition so slow drift
     hits all of them equally; per-size times are medians of 7 timed
-    repetitions after 2 warmups, single-threaded. For end_to_end, size
-    is the segment count l and the lookback is l*p.
+    repetitions after 2 warmups, single-threaded. After the timing, each
+    size's call runs once more, untimed, for its `traced_peak_bytes`. For
+    end_to_end, size is the segment count l and the lookback is l*p.
     """
     if mode not in SWEEP_MODES:
         raise ConfigError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
@@ -257,7 +223,7 @@ def scaling_sweep(
             protos = PrototypeSet(rng.standard_normal((k, p)), alpha=0.2)
             params = init_params(hyper, protos, seed=seed)
             x = rng.standard_normal((1, l * p, n_entities))
-            cases.append((l, lambda params=params, x=x: predict(params, x)))
+            cases.append((l, functools.partial(predict, params, x), count_forward_flops(hyper)))
         else:
             raw = rng.standard_normal((l, p))
             protos = PrototypeSet(rng.standard_normal((k, p)), alpha=0.2)
@@ -267,45 +233,30 @@ def scaling_sweep(
             weights = ProtoAttnWeights(
                 *(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4))
             )
-            kernel = proto_attention if mode == "protoattn" else full_attention
+            if mode == "protoattn":
+                kernel, flops = proto_attention, count_flops(l, k, d, p).total
+            else:
+                kernel, flops = full_attention, count_flops_full(l, d)
             cases.append(
-                (
-                    l,
-                    lambda kernel=kernel, seg_emb=seg_emb, assignment=assignment, protos_emb=protos_emb, weights=weights: kernel(
-                        seg_emb, assignment, protos_emb, weights
-                    ),
-                )
+                (l, functools.partial(kernel, seg_emb, assignment, protos_emb, weights), flops)
             )
 
     times: dict[int, list[float]] = {l: [] for l in sizes}
     with _single_thread():
         for rep in range(WARMUP_REPS + TIMED_REPS):
-            for l, fn in cases:
+            for l, fn, _ in cases:
                 t0 = time.perf_counter()
                 fn()
                 t1 = time.perf_counter()
                 if rep >= WARMUP_REPS:
                     times[l].append(t1 - t0)
 
-    rows = []
-    medians = []
-    for l in sizes:
-        med = float(np.median(times[l]))
-        medians.append(med)
-        if mode == "protoattn":
-            flops = count_flops(l, k, d, p).total
-            peak = estimate_peak_bytes(l, k, d, "proto")
-        elif mode == "full_attn":
-            flops = count_flops_full(l, d)
-            peak = estimate_peak_bytes(l, k, d, "full")
-        else:
-            hyper = HyperParams(
-                p=p, d=d, m=m, k=k, lookback=l * p, horizon=horizon, n_entities=n_entities
-            )
-            flops = count_forward_flops(hyper)
-            peak = estimate_model_peak_bytes(hyper)
-        rows.append(BenchRow(mode, l, int(med * 1e9), flops, peak))
-    return BenchReport(rows=tuple(rows), slopes={mode: _fit_slope(sizes, medians)})
+    medians = [float(np.median(times[l])) for l in sizes]
+    rows = tuple(
+        BenchRow(mode, l, int(med * 1e9), flops, traced_peak_bytes(fn))
+        for (l, fn, flops), med in zip(cases, medians)
+    )
+    return BenchReport(rows=rows, slopes={mode: _fit_slope(sizes, medians)})
 
 
 def lowrank_error(segments: np.ndarray, protos: PrototypeSet, w: np.ndarray) -> float:
@@ -329,11 +280,6 @@ def lowrank_error(segments: np.ndarray, protos: PrototypeSet, w: np.ndarray) -> 
 class LowRankProbe:
     k_values: tuple[int, ...]
     median_errors: tuple[float, ...]
-    r: int
-    l: int
-    p: int
-    trials: int
-    seed: int
 
 
 def _segment_matrix(rows: np.ndarray) -> SegmentMatrix:
@@ -374,11 +320,6 @@ def lowrank_probe(
     return LowRankProbe(
         k_values=tuple(k_values),
         median_errors=tuple(float(np.median(errors[k])) for k in k_values),
-        r=r,
-        l=l,
-        p=p,
-        trials=trials,
-        seed=seed,
     )
 
 
@@ -395,8 +336,6 @@ class AblationRow:
     alpha: float
     protos: PrototypeSet
     template_corr: float | None
-    test_mse: float | None
-    test_mae: float | None
 
 
 def offline_ablation(
@@ -407,10 +346,8 @@ def offline_ablation(
     templates: np.ndarray | None = None,
     seed: int = 0,
     max_iters: int = 200,
-    train_cfg: tuple[HyperParams, OptimizerConfig] | None = None,
 ) -> tuple[AblationRow, ...]:
-    """Fit prototypes on the train split once per alpha; optionally train
-    the forecaster on each prototype set and report its test metrics.
+    """Fit prototypes on the train split once per alpha.
 
     With templates given (planted data), each row also scores how well
     the learned prototypes recover them. Everything except alpha is held
@@ -428,12 +365,7 @@ def offline_ablation(
             if templates is not None
             else None
         )
-        test_mse = test_mae = None
-        if train_cfg is not None:
-            hyper, opt = train_cfg
-            _, report = train(dataset, protos, hyper, opt)
-            test_mse, test_mae = report.test_mse, report.test_mae
-        rows.append(AblationRow(alpha, protos, corr, test_mse, test_mae))
+        rows.append(AblationRow(alpha, protos, corr))
     return tuple(rows)
 
 

@@ -293,7 +293,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--seed", type=int, required=True, help="base seed for the 3 configs")
     p.set_defaults(func=cmd_gradcheck)
 

@@ -9,6 +9,7 @@ and a file must be consumed exactly. Scalars travel as rank-0 entries.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from pathlib import Path
@@ -171,7 +172,7 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
     return _protos_from_entries(read_container(path), path)
 
 
-HYPER_FIELDS = ("p", "d", "m", "k", "lookback", "horizon", "n_entities")
+HYPER_FIELDS = tuple(f.name for f in dataclasses.fields(HyperParams))
 
 
 def save_model(
@@ -219,10 +220,21 @@ def load_model(path: str | Path):
     norm_stats = None
     if "norm/mean" in tensors and "norm/std" in tensors:
         norm_stats = (tensors["norm/mean"], tensors["norm/std"])
+        for name, arr in zip(("norm/mean", "norm/std"), norm_stats):
+            if arr.shape != (hyper.n_entities,):
+                raise ContainerError(
+                    f"{path}: {name} must have shape ({hyper.n_entities},), got {arr.shape}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise ContainerError(f"{path}: {name} has a non-finite entry")
+        if np.any(norm_stats[1] <= 0):
+            raise ContainerError(f"{path}: norm/std entries must be positive")
     ratio = None
     if "norm/ratio" in tensors:
         r = tensors["norm/ratio"]
         if r.shape != (3,):
             raise ContainerError(f"{path}: norm/ratio must have 3 entries, got {r.shape}")
+        if not np.all(np.isfinite(r)):
+            raise ContainerError(f"{path}: norm/ratio has a non-finite entry")
         ratio = (float(r[0]), float(r[1]), float(r[2]))
     return params, norm_stats, ratio

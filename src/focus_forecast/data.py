@@ -130,8 +130,8 @@ def _parse_csv_rows(reader, path: str) -> tuple[list[str], list[list[float]]]:
 
 def _split_indices(t: int, ratio: tuple[float, float, float]) -> tuple[int, int]:
     r_train, r_val, r_test = ratio
-    if min(r_train, r_val, r_test) <= 0:
-        raise ConfigError(f"split fractions must be positive, got {ratio}")
+    if not all(r > 0 and math.isfinite(r) for r in ratio):
+        raise ConfigError(f"split fractions must be finite and positive, got {ratio}")
     if abs(r_train + r_val + r_test - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {ratio}")
     train_end = int(math.floor(r_train * t))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from focus_forecast.cli import main
-from focus_forecast.container import load_prototypes
+from focus_forecast.container import load_prototypes, read_container, write_container
 from focus_forecast.data import load_csv
 
 
@@ -219,6 +219,35 @@ def test_bench_csv_and_bad_sizes(tmp_path):
                         "--config", str(cfg)])
     assert code == 1
     assert "warp" in err
+
+
+def test_cluster_rejects_nan_split_fraction(pipeline, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("ratio=0.7,nan,0.2\n")
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--alpha", "0.2", "--out", str(tmp_path / "p.bin"),
+                        "--config", str(cfg)])
+    assert code == 1
+    assert "finite" in err
+
+
+def test_eval_rejects_model_with_nan_std(pipeline, tmp_path):
+    model = tmp_path / "model.bin"
+    tensors = read_container(pipeline["model"])
+    tensors["norm/std"][0] = np.nan
+    write_container(model, tensors)
+    code, _, err = run(["eval", "--data", pipeline["data"], "--model", str(model),
+                        "--split", "test"])
+    assert code == 2
+    assert str(model) in err and "norm/std" in err
+
+
+def test_gradcheck_takes_no_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k=4\n")
+    code, _, err = run(["gradcheck", "--seed", "0", "--config", str(cfg)])
+    assert code == 1
+    assert "--config" in err
 
 
 def test_gradcheck_passes(tmp_path):

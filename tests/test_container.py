@@ -225,6 +225,32 @@ def test_model_round_trip_with_norm_stats(tmp_path):
     np.testing.assert_array_equal(predict(back, x), predict(params, x))
 
 
+@pytest.mark.parametrize(
+    "name,value,match",
+    [
+        ("norm/mean", [np.inf, 0.0], "norm/mean has a non-finite entry"),
+        ("norm/mean", [0.0, 0.0, 0.0], r"norm/mean must have shape \(2,\)"),
+        ("norm/std", [1.0, np.nan], "norm/std has a non-finite entry"),
+        ("norm/std", [1.0, 0.0], "norm/std entries must be positive"),
+        ("norm/std", [[1.0, 1.0]], r"norm/std must have shape \(2,\)"),
+        ("norm/ratio", [0.7, np.nan, 0.2], "norm/ratio has a non-finite entry"),
+    ],
+    ids=["mean-inf", "mean-shape", "std-nan", "std-zero", "std-shape", "ratio-nan"],
+)
+def test_model_load_rejects_bad_norm_entries(tmp_path, name, value, match):
+    # eval and forecast used to fail later, on the normalized input or the split
+    path = tmp_path / "model.bin"
+    hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
+    params = init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0))
+    save_model(path, params, norm_stats=(np.zeros(2), np.ones(2)), ratio=(0.7, 0.1, 0.2))
+    tensors = read_container(path)
+    tensors[name] = np.asarray(value, dtype=np.float64)
+    write_container(path, tensors)
+    with pytest.raises(ContainerError, match=match) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
 def test_model_round_trip_without_extras(tmp_path):
     path = tmp_path / "model.bin"
     hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)

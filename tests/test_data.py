@@ -94,7 +94,17 @@ def test_split_rejects_tiny_series():
         split_and_normalize(ds, (0.7, 0.1, 0.2))
 
 
-@pytest.mark.parametrize("ratio", [(0.5, 0.5, 0.0), (0.6, 0.3, 0.2), (-0.2, 0.6, 0.6)])
+@pytest.mark.parametrize(
+    "ratio",
+    [
+        (0.5, 0.5, 0.0),
+        (0.6, 0.3, 0.2),
+        (-0.2, 0.6, 0.6),
+        (0.7, float("nan"), 0.2),
+        (float("nan"),) * 3,
+        (0.7, 0.1, float("inf")),
+    ],
+)
 def test_split_rejects_bad_fractions(ratio):
     ds = TimeSeriesDataset(values=np.zeros((100, 1)), entity_names=["a"])
     with pytest.raises(ConfigError):

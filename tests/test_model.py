@@ -1,13 +1,12 @@
 """Forecaster assembly: branches, gating, head, and input checking."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from focus_forecast import clustering, protoattn
 from focus_forecast import model as model_module
 from focus_forecast.autodiff import Tensor, no_grad
+from focus_forecast.bench import traced_peak_bytes
 from focus_forecast.clustering import PrototypeSet, _assign_arr
 from focus_forecast.errors import ConfigError, NumericalError, ShapeError
 from focus_forecast.model import (
@@ -365,13 +364,7 @@ def test_temporal_branch_never_builds_a_rows_by_d_array():
     assert rows_by_d == 1_048_576
     with no_grad():
         extract_temporal(params, x)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            extract_temporal(params, x)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak_bytes(lambda: extract_temporal(params, x))
     assert peak < rows_by_d, peak
 
 

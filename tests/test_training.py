@@ -5,8 +5,8 @@ import pytest
 
 from focus_forecast.clustering import PrototypeSet
 from focus_forecast.data import generate_synthetic, make_windows, split_and_normalize
-from focus_forecast.errors import ConfigError, ShapeError
-from focus_forecast.model import HyperParams, init_params, predict
+from focus_forecast.errors import ConfigError, NumericalError, ShapeError
+from focus_forecast.model import HyperParams, ModelParams, init_params, predict
 from focus_forecast.optim import OptimizerConfig
 from focus_forecast.training import (
     backward,
@@ -70,14 +70,15 @@ def test_stack_windows_shapes_and_empty():
 def test_perfect_prediction_has_zero_gradient(tiny_model):
     params, x, _ = tiny_model
     y = predict(params, x)
-    grads = backward(params, x, y)
+    loss, grads = backward(params, x, y)
+    assert float(loss.data) == 0.0
     for name, g in grads.items():
         assert np.all(g == 0.0), name
 
 
 def test_head_bias_gradient_closed_form(tiny_model):
     params, x, y = tiny_model
-    grads = backward(params, x, y)
+    _, grads = backward(params, x, y)
     err = predict(params, x) - y  # (B, horizon, N)
     expected = 2.0 * err.sum(axis=(0, 2)) / err.size
     np.testing.assert_allclose(grads["head_b"], expected, atol=1e-12)
@@ -126,6 +127,21 @@ def test_train_is_deterministic_up_to_wall_clock():
     assert (r1.test_mse, r1.test_mae, r1.seed) == (r2.test_mse, r2.test_mae, r2.seed)
     for name, a in p1.arrays().items():
         np.testing.assert_array_equal(a, p2.arrays()[name])
+
+
+def test_train_rejects_a_non_finite_gradient_in_the_step_that_makes_it(monkeypatch):
+    grads = ModelParams.grads
+
+    def poisoned(self):
+        out = grads(self)
+        out["head_b"][0] = np.inf
+        return out
+
+    monkeypatch.setattr(ModelParams, "grads", poisoned)
+    ds, _ = small_dataset()
+    opt = OptimizerConfig(max_epochs=1, batch_size=32, patience=1, seed=0)
+    with pytest.raises(NumericalError, match="'head_b'"):
+        train(ds, small_protos(), HYPER, opt)
 
 
 def test_train_reduces_loss_and_reports_consistently():
