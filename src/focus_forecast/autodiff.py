@@ -47,18 +47,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def backward(self, grad: np.ndarray | None = None):
         """Accumulate gradients into every tensor reachable from this one.
 

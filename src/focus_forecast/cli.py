@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cfg(args, **flag_overrides):
     overrides = {k: v for k, v in flag_overrides.items() if v is not None}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     return resolve_config(args.config, overrides)
 
@@ -134,24 +134,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_dataset(args, cfg):
-    params, norm_stats, ratio = load_model(args.model)
+def _load_eval_dataset(args):
+    params, (mean, std), ratio = load_model(args.model)
     raw = load_csv(args.data)
     if raw.n_entities != params.hyper.n_entities:
         raise ConfigError(
             f"model {args.model} expects {params.hyper.n_entities} entities, "
             f"data file {args.data} has {raw.n_entities}"
         )
-    if norm_stats is not None:
-        dataset = normalize_with(raw, norm_stats[0], norm_stats[1], ratio or cfg.ratio)
-    else:
-        dataset = split_and_normalize(raw, cfg.ratio)
-    return params, dataset
+    return params, normalize_with(raw, mean, std, ratio)
 
 
 def cmd_eval(args) -> int:
-    cfg = _cfg(args)
-    params, dataset = _load_eval_dataset(args, cfg)
+    params, dataset = _load_eval_dataset(args)
     windows = make_windows(dataset, params.hyper.lookback, params.hyper.horizon, args.split)
     if not windows:
         raise ConfigError(
@@ -167,8 +162,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    cfg = _cfg(args)
-    params, dataset = _load_eval_dataset(args, cfg)
+    params, dataset = _load_eval_dataset(args)
     lookback = params.hyper.lookback
     if dataset.n_steps < lookback:
         raise ConfigError(
@@ -252,9 +246,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="fit prototypes on the train split")
     p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--p", required=True, type=int)
-    p.add_argument("--k", required=True, type=int)
-    p.add_argument("--alpha", required=True, type=float)
+    p.add_argument("--p", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--alpha", type=float)
     p.add_argument("--out", required=True, help="prototype file path")
     common(p)
     p.set_defaults(func=cmd_cluster)
@@ -262,10 +256,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the forecaster")
     p.add_argument("--data", required=True)
     p.add_argument("--protos", required=True, help="prototype file from cluster")
-    p.add_argument("--lookback", required=True, type=int)
-    p.add_argument("--horizon", required=True, type=int)
-    p.add_argument("--d", required=True, type=int)
-    p.add_argument("--m", required=True, type=int)
+    p.add_argument("--lookback", type=int)
+    p.add_argument("--horizon", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--m", type=int)
     p.add_argument("--out", required=True, help="model file path")
     common(p)
     p.set_defaults(func=cmd_train)
@@ -274,14 +268,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--split", required=True, choices=("train", "val", "test"))
-    common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("forecast", help="forecast past the end of a series")
     p.add_argument("--data", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="forecast CSV path")
-    common(p)
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("bench", help="cost/scaling measurements")

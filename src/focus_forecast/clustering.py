@@ -55,8 +55,8 @@ class PrototypeSet:
             raise ConfigError("prototypes must be a k x p matrix")
         if self.k < 1 or self.p < 2:
             raise ConfigError(f"need k >= 1 and p >= 2, got k={self.k}, p={self.p}")
-        if not self.alpha >= 0:  # NaN too
-            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 <= self.alpha < np.inf:  # NaN too
+            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not np.all(np.isfinite(self.prototypes)):
             raise NumericalError("non-finite value in tensor 'prototypes'")
         self.prototypes.flags.writeable = False
@@ -279,8 +279,8 @@ def fit(
     n, p = segs.shape
     if k < 1 or k > n:
         raise ConfigError(f"k must be in [1, {n}], got {k}")
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:  # NaN too
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     opt = opt if opt is not None else CLUSTER_OPT_DEFAULTS
     sq, unit = _sq_norms(segs), _center_unit(segs)
     rng = seed_stream(seed, "init")

@@ -178,33 +178,25 @@ HYPER_FIELDS = tuple(f.name for f in dataclasses.fields(HyperParams))
 def save_model(
     path: str | Path,
     params: ModelParams,
-    norm_stats: tuple[np.ndarray, np.ndarray] | None = None,
-    ratio: tuple[float, float, float] | None = None,
+    norm_stats: tuple[np.ndarray, np.ndarray],
+    ratio: tuple[float, float, float],
 ) -> None:
-    """Write parameters, hyper scalars, and the embedded prototype set.
-
-    Normalization stats and the split ratio ride along when given, so
-    evaluation and forecasting can reproduce the training-time pipeline
-    from the model file alone.
+    """Write parameters, hyper scalars, the embedded prototype set, and the
+    training-time normalization stats and split ratio, so evaluation and
+    forecasting reproduce the training pipeline from the model file alone.
     """
     tensors = dict(params.arrays())
     for name in HYPER_FIELDS:
         tensors[f"hyper/{name}"] = _scalar(getattr(params.hyper, name), np.int64)
     tensors.update(prototype_entries(params.protos, prefix="protos/"))
-    if norm_stats is not None:
-        tensors["norm/mean"] = np.asarray(norm_stats[0], dtype=np.float64)
-        tensors["norm/std"] = np.asarray(norm_stats[1], dtype=np.float64)
-    if ratio is not None:
-        tensors["norm/ratio"] = np.asarray(ratio, dtype=np.float64)
+    tensors["norm/mean"] = np.asarray(norm_stats[0], dtype=np.float64)
+    tensors["norm/std"] = np.asarray(norm_stats[1], dtype=np.float64)
+    tensors["norm/ratio"] = np.asarray(ratio, dtype=np.float64)
     write_container(path, tensors)
 
 
 def load_model(path: str | Path):
-    """Read a model file back.
-
-    Returns (params, norm_stats, ratio); the last two are None when the
-    file was saved without them.
-    """
+    """Read a model file back as (params, (mean, std), ratio)."""
     tensors = read_container(path)
     hyper = HyperParams(
         **{name: _int_item(tensors, f"hyper/{name}", path) for name in HYPER_FIELDS}
@@ -217,24 +209,19 @@ def load_model(path: str | Path):
         params = params_from_arrays(hyper, protos, arrays)
     except Exception as e:
         raise ContainerError(f"{path}: {e}") from e
-    norm_stats = None
-    if "norm/mean" in tensors and "norm/std" in tensors:
-        norm_stats = (tensors["norm/mean"], tensors["norm/std"])
-        for name, arr in zip(("norm/mean", "norm/std"), norm_stats):
-            if arr.shape != (hyper.n_entities,):
-                raise ContainerError(
-                    f"{path}: {name} must have shape ({hyper.n_entities},), got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ContainerError(f"{path}: {name} has a non-finite entry")
-        if np.any(norm_stats[1] <= 0):
-            raise ContainerError(f"{path}: norm/std entries must be positive")
-    ratio = None
-    if "norm/ratio" in tensors:
-        r = tensors["norm/ratio"]
-        if r.shape != (3,):
-            raise ContainerError(f"{path}: norm/ratio must have 3 entries, got {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ContainerError(f"{path}: norm/ratio has a non-finite entry")
-        ratio = (float(r[0]), float(r[1]), float(r[2]))
-    return params, norm_stats, ratio
+    norm_stats = (_require(tensors, "norm/mean", path), _require(tensors, "norm/std", path))
+    for name, arr in zip(("norm/mean", "norm/std"), norm_stats):
+        if arr.shape != (hyper.n_entities,):
+            raise ContainerError(
+                f"{path}: {name} must have shape ({hyper.n_entities},), got {arr.shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise ContainerError(f"{path}: {name} has a non-finite entry")
+    if np.any(norm_stats[1] <= 0):
+        raise ContainerError(f"{path}: norm/std entries must be positive")
+    r = _require(tensors, "norm/ratio", path)
+    if r.shape != (3,):
+        raise ContainerError(f"{path}: norm/ratio must have 3 entries, got {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ContainerError(f"{path}: norm/ratio has a non-finite entry")
+    return params, norm_stats, (float(r[0]), float(r[1]), float(r[2]))

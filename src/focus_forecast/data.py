@@ -31,7 +31,6 @@ class TimeSeriesDataset:
 
     values: np.ndarray
     entity_names: list[str]
-    frequency: str = "unknown"
     split: tuple[int, int] | None = None
     norm_stats: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -145,15 +144,9 @@ def split_and_normalize(
     ds: TimeSeriesDataset, ratio: tuple[float, float, float]
 ) -> TimeSeriesDataset:
     """Set split boundaries by floor(ratio * T) and z-score with train stats."""
-    train_end, val_end = _split_indices(ds.n_steps, ratio)
-    train = ds.values[:train_end]
-    mean = train.mean(axis=0)
+    train = ds.values[: _split_indices(ds.n_steps, ratio)[0]]
     std = train.std(axis=0)
-    std = np.where(std < STD_FLOOR, 1.0, std)
-    normalized = (ds.values - mean) / std
-    return replace(
-        ds, values=normalized, split=(train_end, val_end), norm_stats=(mean, std)
-    )
+    return normalize_with(ds, train.mean(axis=0), np.where(std < STD_FLOOR, 1.0, std), ratio)
 
 
 def normalize_with(
@@ -162,10 +155,10 @@ def normalize_with(
     std: np.ndarray,
     ratio: tuple[float, float, float],
 ) -> TimeSeriesDataset:
-    """Normalize with externally supplied stats (e.g. from a model file).
+    """Set the split by floor(ratio * T) and z-score with the given stats.
 
-    Used at evaluation time so data passes through exactly the transform
-    the model was trained with, rather than freshly computed statistics.
+    The one transform training, evaluation and forecasting apply; the
+    latter two pass the stats and ratio stored in the model file.
     """
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
@@ -192,14 +185,6 @@ def save_csv(path: str, ds: TimeSeriesDataset) -> None:
         writer.writerow(ds.entity_names)
         for row in ds.values:
             writer.writerow([f"{v:.17g}" for v in row])
-
-
-def denormalize(ds: TimeSeriesDataset, values: np.ndarray) -> np.ndarray:
-    """Map normalized values back to the raw scale using train-split stats."""
-    if ds.norm_stats is None:
-        raise ConfigError("dataset has no normalization stats; call split_and_normalize")
-    mean, std = ds.norm_stats
-    return values * std + mean
 
 
 def segment(x: np.ndarray, p: int, axis: str = "temporal") -> SegmentMatrix:
@@ -330,8 +315,8 @@ def generate_synthetic(
     """
     if k_true < 1:
         raise ConfigError(f"k_true must be >= 1, got {k_true}")
-    if noise_sigma < 0:
-        raise ConfigError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    if not 0 <= noise_sigma < math.inf:  # NaN too
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if n_entities < 1 or n_steps < p:
         raise ConfigError(f"need n_entities >= 1 and n_steps >= p, got {n_entities}, {n_steps}")
     if bank == "smooth":
@@ -346,9 +331,5 @@ def generate_synthetic(
     clean = templates[ids].reshape(n_entities, n_windows * p)[:, :n_steps]
     noise = rng.normal(0.0, noise_sigma, size=(n_entities, n_steps)) if noise_sigma > 0 else 0.0
     values = np.ascontiguousarray((clean + noise).T)
-    ds = TimeSeriesDataset(
-        values=values,
-        entity_names=[f"e{i}" for i in range(n_entities)],
-        frequency="synthetic",
-    )
+    ds = TimeSeriesDataset(values=values, entity_names=[f"e{i}" for i in range(n_entities)])
     return SyntheticResult(dataset=ds, templates=templates, template_ids=ids, p=p)

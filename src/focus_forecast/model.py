@@ -116,10 +116,6 @@ class ModelParams:
         for t in self.tensors.values():
             t.grad = None
 
-    @property
-    def n_params(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
-
 
 def init_params(hyper: HyperParams, protos: PrototypeSet, seed: int = 0) -> ModelParams:
     """Fan-in uniform init for weights; ones/zeros for norm gains and biases."""
@@ -291,18 +287,12 @@ class ForecastBatch:
 
 
 def forecast_window(
-    params: ModelParams,
-    x: np.ndarray,
-    norm_stats: tuple[np.ndarray, np.ndarray] | None = None,
+    params: ModelParams, x: np.ndarray, norm_stats: tuple[np.ndarray, np.ndarray]
 ) -> ForecastBatch:
-    """Forecast a single (lookback, N) window; denormalize with the given
-    per-entity (mean, std) train statistics when available."""
+    """Forecast a single (lookback, N) window; denormalize with the
+    per-entity (mean, std) train statistics."""
     if x.ndim != 2:
         raise ShapeError(f"expected a single (lookback, N) window, got shape {x.shape}")
     pred = predict(params, x[None])[0]
-    if norm_stats is None:
-        denorm = pred.copy()
-    else:
-        mean, std = norm_stats
-        denorm = pred * std + mean
-    return ForecastBatch(prediction=pred, denormalized=denorm)
+    mean, std = norm_stats
+    return ForecastBatch(prediction=pred, denormalized=pred * std + mean)

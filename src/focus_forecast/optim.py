@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +29,15 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        # written so that NaN fails each comparison
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ConfigError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 < self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.max_epochs < 0 or self.batch_size < 1 or self.patience < 0:
             raise ConfigError("max_epochs/batch_size/patience out of range")
 

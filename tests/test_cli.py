@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from focus_forecast.cli import main
-from focus_forecast.container import load_prototypes, read_container, write_container
+from focus_forecast.container import (
+    load_model,
+    load_prototypes,
+    read_container,
+    write_container,
+)
 from focus_forecast.data import load_csv
 
 
@@ -240,6 +245,80 @@ def test_eval_rejects_model_with_nan_std(pipeline, tmp_path):
                         "--split", "test"])
     assert code == 2
     assert str(model) in err and "norm/std" in err
+
+
+def test_eval_rejects_model_without_split_ratio(pipeline, tmp_path):
+    # the test windows are those of the split the model was trained with
+    model = tmp_path / "model.bin"
+    tensors = read_container(pipeline["model"])
+    del tensors["norm/ratio"]
+    write_container(model, tensors)
+    code, _, err = run(["eval", "--data", pipeline["data"], "--model", str(model),
+                        "--split", "test"])
+    assert code == 2
+    assert str(model) in err and "norm/ratio" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+@pytest.mark.parametrize("flag", ["--config", "--seed"])
+def test_eval_and_forecast_take_no_config_or_seed(pipeline, tmp_path, command, flag):
+    # both run from the model file alone
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ratio=0.5,0.25,0.25\n")
+    tail = {"eval": ["--split", "test"], "forecast": ["--out", str(tmp_path / "fc.csv")]}
+    code, _, err = run([command, "--data", pipeline["data"], "--model", pipeline["model"],
+                        *tail[command], flag, str(cfg) if flag == "--config" else "0"])
+    assert code == 1
+    assert flag in err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_synth_rejects_non_finite_sigma(tmp_path, sigma):
+    out = tmp_path / "s.csv"
+    code, _, err = run(["synth", "--out", str(out), "--entities", "2", "--steps", "100",
+                        "--k-true", "2", "--sigma", sigma, "--seed", "0"])
+    assert code == 1
+    assert "noise_sigma" in err
+    assert not out.exists()
+
+
+def test_train_rejects_nan_lr_as_a_config_error(pipeline, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lr=nan\nmax_epochs=1\n")
+    code, _, err = run(["train", "--data", pipeline["data"], "--protos", pipeline["protos"],
+                        "--lookback", "32", "--horizon", "8", "--d", "8", "--m", "2",
+                        "--out", str(tmp_path / "m.bin"), "--config", str(cfg)])
+    assert code == 1
+    assert "lr must be finite" in err
+
+
+def test_cluster_rejects_infinite_alpha(pipeline, tmp_path):
+    out = tmp_path / "p.bin"
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--alpha", "inf", "--out", str(out)])
+    assert code == 1
+    assert "alpha must be finite" in err
+    assert not out.exists()
+
+
+def test_cluster_takes_alpha_from_the_config_file(pipeline, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=0.35\ncluster_max_iters=5\n")
+    code, out, _ = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--out", str(tmp_path / "p.bin"), "--config", str(cfg)])
+    assert code == 0
+    assert kv(out)["alpha"] == "0.35"
+
+
+def test_train_takes_geometry_from_the_config_file(pipeline, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lookback=24\nhorizon=6\nd=4\nm=3\nmax_epochs=1\n")
+    model = tmp_path / "m.bin"
+    code, _, _ = run(["train", "--data", pipeline["data"], "--protos", pipeline["protos"],
+                      "--out", str(model), "--config", str(cfg)])
+    assert code == 0
+    hyper = load_model(model)[0].hyper
+    assert (hyper.lookback, hyper.horizon, hyper.d, hyper.m) == (24, 6, 4, 3)
 
 
 def test_gradcheck_takes_no_config(tmp_path):

@@ -303,6 +303,18 @@ def test_fit_rejects_k_above_segment_count():
         fit(make_segments(np.zeros((3, 4))), 5, 0.2)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_fit_rejects_non_finite_alpha_before_computing_any_distance(monkeypatch, alpha):
+    calls = []
+    real = clustering._distances
+    monkeypatch.setattr(
+        clustering, "_distances", lambda *a: calls.append(1) or real(*a)
+    )
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        fit(make_segments(np.zeros((8, 4))), 2, alpha, max_iters=5)
+    assert calls == []
+
+
 def test_fit_handles_duplicate_heavy_input():
     # only two distinct rows but k=2: fit should land on them exactly
     base = np.array([[0.0, 1.0, 0.0, -1.0], [3.0, 3.5, 4.0, 4.5]])

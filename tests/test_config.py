@@ -37,6 +37,14 @@ def test_precedence_defaults_then_file_then_overrides(tmp_path):
     assert cfg.p == 16         # untouched default
 
 
+def test_nan_cluster_lr_is_rejected_when_the_optimizer_is_built(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("cluster_lr=nan\n")
+    cfg = resolve_config(path)
+    with pytest.raises(ConfigError, match="lr must be finite"):
+        cfg.cluster_optimizer()
+
+
 def test_resolve_without_file_or_overrides():
     assert resolve_config() == RunConfig()
 

@@ -19,6 +19,9 @@ from focus_forecast.container import (
 from focus_forecast.errors import ConfigError, ContainerError
 from focus_forecast.model import HyperParams, init_params, predict
 
+# what every model file carries for two entities
+NORM = dict(norm_stats=(np.zeros(2), np.ones(2)), ratio=(0.7, 0.1, 0.2))
+
 
 def test_golden_bytes(tmp_path):
     """Freeze the on-disk layout against an independently packed byte string."""
@@ -182,7 +185,7 @@ def test_model_load_rejects_integer_field_that_is_not_whole(tmp_path, name, valu
     # int() of a float NaN or infinity raised ValueError/OverflowError
     path = tmp_path / "model.bin"
     hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
-    save_model(path, init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0)))
+    save_model(path, init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0)), **NORM)
     tensors = read_container(path)
     tensors[name] = np.asarray(value)
     write_container(path, tensors)
@@ -197,6 +200,17 @@ def test_prototype_load_rejects_nan_alpha(tmp_path):
     tensors["alpha"] = np.asarray(np.nan)
     write_container(path, tensors)
     with pytest.raises(ConfigError, match="alpha"):
+        load_prototypes(path)
+
+
+def test_prototype_load_rejects_infinite_alpha(tmp_path):
+    # an infinite correlation weight makes every distance NaN or infinite
+    path = tmp_path / "protos.bin"
+    save_prototypes(path, PrototypeSet(np.zeros((2, 4)), alpha=0.0))
+    tensors = read_container(path)
+    tensors["alpha"] = np.asarray(np.inf)
+    write_container(path, tensors)
+    with pytest.raises(ConfigError, match="alpha must be finite"):
         load_prototypes(path)
 
 
@@ -242,7 +256,7 @@ def test_model_load_rejects_bad_norm_entries(tmp_path, name, value, match):
     path = tmp_path / "model.bin"
     hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
     params = init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0))
-    save_model(path, params, norm_stats=(np.zeros(2), np.ones(2)), ratio=(0.7, 0.1, 0.2))
+    save_model(path, params, **NORM)
     tensors = read_container(path)
     tensors[name] = np.asarray(value, dtype=np.float64)
     write_container(path, tensors)
@@ -251,21 +265,25 @@ def test_model_load_rejects_bad_norm_entries(tmp_path, name, value, match):
     assert str(path) in str(info.value)
 
 
-def test_model_round_trip_without_extras(tmp_path):
+@pytest.mark.parametrize("name", ["norm/mean", "norm/std", "norm/ratio"])
+def test_model_load_requires_every_norm_entry(tmp_path, name):
+    # without any one of them, eval cannot reproduce the training-time input
     path = tmp_path / "model.bin"
     hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
-    protos = PrototypeSet(np.random.default_rng(4).standard_normal((3, 4)), alpha=0.0)
-    save_model(path, init_params(hyper, protos, seed=0))
-    back, stats, ratio = load_model(path)
-    assert stats is None and ratio is None
-    assert back.hyper == hyper
+    save_model(path, init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0)), **NORM)
+    tensors = read_container(path)
+    del tensors[name]
+    write_container(path, tensors)
+    with pytest.raises(ContainerError, match=f"missing tensor '{name}'") as info:
+        load_model(path)
+    assert str(path) in str(info.value)
 
 
 def test_model_load_reports_missing_tensor(tmp_path):
     path = tmp_path / "model.bin"
     hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
     protos = PrototypeSet(np.zeros((3, 4)), alpha=0.0)
-    save_model(path, init_params(hyper, protos, seed=0))
+    save_model(path, init_params(hyper, protos, seed=0), **NORM)
     tensors = read_container(path)
     del tensors["head_w"]
     write_container(path, tensors)

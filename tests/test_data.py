@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from focus_forecast.clustering import pearson_corr
 from focus_forecast.data import (
     TimeSeriesDataset,
-    denormalize,
     generate_synthetic,
     load_csv,
     make_windows,
@@ -136,19 +135,6 @@ def test_known_stats_give_known_zscore():
     out = split_and_normalize(ds, (0.7, 0.15, 0.15))
     assert out.split[0] == 14
     assert out.values[-1, 0] == pytest.approx(2.0, abs=1e-12)
-
-
-def test_denormalize_round_trip():
-    rng = np.random.default_rng(2)
-    ds = TimeSeriesDataset(values=rng.normal(3, 5, (200, 3)), entity_names=list("abc"))
-    out = split_and_normalize(ds, (0.7, 0.1, 0.2))
-    np.testing.assert_allclose(denormalize(out, out.values), ds.values, atol=1e-6)
-
-
-def test_denormalize_requires_stats():
-    ds = TimeSeriesDataset(values=np.zeros((10, 1)), entity_names=["a"])
-    with pytest.raises(ConfigError):
-        denormalize(ds, ds.values)
 
 
 def test_normalize_with_matches_fresh_split():
@@ -316,6 +302,14 @@ def test_synthetic_validates_parameters():
         generate_synthetic(0, 100, 4, 0.1, seed=0)
     with pytest.raises(ConfigError):
         generate_synthetic(2, 100, 4, 0.1, seed=0, bank="granite")
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_synthetic_rejects_non_finite_noise(sigma):
+    # NaN fails `sigma > 0` and would give noise-free data; an infinity a CSV
+    # that load_csv rejects
+    with pytest.raises(ConfigError, match="noise_sigma"):
+        generate_synthetic(2, 100, 4, sigma, seed=0)
 
 
 def test_smooth_templates_are_distinct():

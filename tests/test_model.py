@@ -107,14 +107,6 @@ def test_init_norm_params_start_at_identity():
     np.testing.assert_array_equal(params.tensors["gate_b"].data, 0.0)
 
 
-def test_n_params_counts_every_entry():
-    params = make_params()
-    expected = sum(
-        int(np.prod(shape)) for _, shape, _ in _param_shapes(HYPER)
-    )
-    assert params.n_params == expected
-
-
 def test_params_from_arrays_round_trip_and_validation():
     params = make_params()
     rebuilt = params_from_arrays(HYPER, params.protos, params.arrays())
@@ -418,18 +410,22 @@ def test_check_input_rejects_non_finite():
 def test_forecast_window_shapes_and_denorm():
     params = make_params()
     window = np.random.default_rng(8).standard_normal((HYPER.lookback, HYPER.n_entities))
-    plain = forecast_window(params, window)
-    assert plain.prediction.shape == (HYPER.horizon, HYPER.n_entities)
-    np.testing.assert_array_equal(plain.denormalized, plain.prediction)
+    identity = forecast_window(params, window, (np.zeros(3), np.ones(3)))
+    assert identity.prediction.shape == (HYPER.horizon, HYPER.n_entities)
+    np.testing.assert_array_equal(identity.denormalized, identity.prediction)
 
     mean = np.array([1.0, -2.0, 0.5])
     std = np.array([2.0, 0.5, 3.0])
     scaled = forecast_window(params, window, norm_stats=(mean, std))
-    np.testing.assert_array_equal(scaled.prediction, plain.prediction)
-    np.testing.assert_allclose(scaled.denormalized, plain.prediction * std + mean)
+    np.testing.assert_array_equal(scaled.prediction, identity.prediction)
+    np.testing.assert_allclose(scaled.denormalized, identity.prediction * std + mean)
 
 
 def test_forecast_window_rejects_batched_input():
     params = make_params()
     with pytest.raises(ShapeError):
-        forecast_window(params, np.zeros((1, HYPER.lookback, HYPER.n_entities)))
+        forecast_window(
+            params,
+            np.zeros((1, HYPER.lookback, HYPER.n_entities)),
+            (np.zeros(HYPER.n_entities), np.ones(HYPER.n_entities)),
+        )

@@ -91,3 +91,21 @@ def test_lr_zero_is_a_no_op():
 def test_config_validation(kwargs):
     with pytest.raises(ConfigError):
         OptimizerConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("lr", float("-inf")),
+        ("eps", float("nan")),
+        ("eps", float("inf")),
+        ("weight_decay", float("nan")),
+        ("weight_decay", float("inf")),
+    ],
+)
+def test_config_rejects_non_finite_settings(name, value):
+    # NaN fails every comparison, so a range check alone does not reject it
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        OptimizerConfig(**{name: value})
