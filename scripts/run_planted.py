@@ -41,14 +41,14 @@ def main(argv=None) -> int:
     ds = split_and_normalize(result.dataset, (0.7, 0.1, 0.2))
 
     protos = fit(
-        segment(ds.values[: ds.split[0]], args.p, "temporal"),
+        segment(ds.values[: ds.split[0]], args.p),
         args.k,
         args.alpha,
         max_iters=200,
         seed=args.seed,
     )
     raw_protos = fit(
-        segment(result.dataset.values, args.p, "temporal"),
+        segment(result.dataset.values, args.p),
         args.k,
         args.alpha,
         max_iters=200,

@@ -356,7 +356,7 @@ def offline_ablation(
     if dataset.split is None:
         raise ConfigError("dataset must be split before the ablation")
     train_vals = dataset.values[: dataset.split[0]]
-    segs = segment(train_vals, p, "temporal")
+    segs = segment(train_vals, p)
     rows = []
     for alpha in alphas:
         protos = fit(segs, k, alpha, max_iters=max_iters, seed=seed)

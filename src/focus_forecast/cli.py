@@ -88,7 +88,7 @@ def cmd_cluster(args) -> int:
     cfg = _cfg(args, p=args.p, k=args.k, alpha=args.alpha)
     dataset = split_and_normalize(load_csv(args.data), cfg.ratio)
     train_vals = dataset.values[: dataset.split[0]]
-    segs = segment(train_vals, cfg.p, "temporal")
+    segs = segment(train_vals, cfg.p)
     protos = fit(
         segs,
         cfg.k,

@@ -281,6 +281,8 @@ def fit(
         raise ConfigError(f"k must be in [1, {n}], got {k}")
     if not 0 <= alpha < np.inf:  # NaN too
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
+    if np.isnan(tol):  # it would fail every stop test and run all max_iters; -inf is valid
+        raise ConfigError("tol must not be NaN")
     opt = opt if opt is not None else CLUSTER_OPT_DEFAULTS
     sq, unit = _sq_norms(segs), _center_unit(segs)
     rng = seed_stream(seed, "init")

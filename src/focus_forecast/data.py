@@ -47,12 +47,23 @@ class TimeSeriesDataset:
 
 
 @dataclass(frozen=True)
-class WindowedInstance:
-    """One (lookback, target) pair; origin is the first lookback row."""
+class Windows:
+    """The strided (lookback, horizon) windows of one partition.
 
-    lookback: np.ndarray
-    target: np.ndarray
-    origin: int
+    x (n, lookback, N) and y (n, horizon, N) are read-only views of the
+    series, not copies: for origin o of window i, x[i] is the C-contiguous
+    slice values[o : o + lookback] and y[i] the horizon rows after it.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        self.x.flags.writeable = False
+        self.y.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -187,47 +198,37 @@ def save_csv(path: str, ds: TimeSeriesDataset) -> None:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
-def segment(x: np.ndarray, p: int, axis: str = "temporal") -> SegmentMatrix:
-    """Slice an L x N window into length-p segments.
+def segment(x: np.ndarray, p: int) -> SegmentMatrix:
+    """Slice an L x N window into non-overlapping length-p segments per entity.
 
-    temporal: non-overlapping windows per entity, oldest steps truncated so
-    p divides the remaining length; rows are ordered entity-major. entity:
-    x must be a single p-step window, yielding one segment per entity.
+    The oldest steps are truncated so p divides the remaining length; rows
+    are ordered entity-major.
     """
     if p < 2:
         raise ConfigError(f"segment length must be >= 2, got {p}")
     length, n_entities = x.shape
-    if axis == "temporal":
-        if p > length:
-            raise ConfigError(f"segment length {p} exceeds window length {length}")
-        l = length // p
-        off = length - l * p  # drop the oldest remainder
-        trimmed = x[off:]
-        segs = trimmed.reshape(l, p, n_entities).transpose(2, 0, 1).reshape(-1, p)
-        prov = np.stack(
-            [np.repeat(np.arange(n_entities), l), np.tile(np.arange(l), n_entities)],
-            axis=1,
-        )
-        return SegmentMatrix(segments=np.ascontiguousarray(segs), provenance=prov)
-    if axis == "entity":
-        if length != p:
-            raise ConfigError(
-                f"entity-axis segmentation needs a single p-step window, got L={length}, p={p}"
-            )
-        prov = np.stack(
-            [np.arange(n_entities), np.zeros(n_entities, dtype=np.int64)], axis=1
-        )
-        return SegmentMatrix(segments=np.ascontiguousarray(x.T), provenance=prov)
-    raise ConfigError(f"unknown segmentation axis {axis!r}")
+    if p > length:
+        raise ConfigError(f"segment length {p} exceeds window length {length}")
+    l = length // p
+    off = length - l * p  # drop the oldest remainder
+    trimmed = x[off:]
+    segs = trimmed.reshape(l, p, n_entities).transpose(2, 0, 1).reshape(-1, p)
+    prov = np.stack(
+        [np.repeat(np.arange(n_entities), l), np.tile(np.arange(l), n_entities)],
+        axis=1,
+    )
+    return SegmentMatrix(segments=np.ascontiguousarray(segs), provenance=prov)
 
 
 def make_windows(
     ds: TimeSeriesDataset, lookback: int, horizon: int, partition: str, stride: int = 1
-) -> list[WindowedInstance]:
-    """Enumerate strided (lookback, target) instances inside one partition.
+) -> Windows:
+    """The strided (lookback, target) windows inside one partition, as views.
 
-    No instance crosses a split boundary: both the lookback and target lie
-    entirely in the requested partition.
+    No window crosses a split boundary: both the lookback and target lie
+    entirely in the requested partition. Window i starts at the
+    partition's first row plus i * stride. Memory is O(1) in the window
+    count: nothing is copied.
     """
     if ds.split is None:
         raise ConfigError("dataset has no split; call split_and_normalize first")
@@ -239,18 +240,16 @@ def make_windows(
     }
     if partition not in bounds:
         raise ConfigError(f"unknown partition {partition!r}")
+    if stride < 1:
+        raise ConfigError(f"window stride must be >= 1, got {stride}")
     start, end = bounds[partition]
     span = lookback + horizon
-    out = []
-    for origin in range(start, end - span + 1, stride):
-        out.append(
-            WindowedInstance(
-                lookback=ds.values[origin : origin + lookback],
-                target=ds.values[origin + lookback : origin + span],
-                origin=origin,
-            )
-        )
-    return out
+    if end - start < span:  # sliding_window_view rejects a window longer than its input
+        spans = np.empty((0, ds.n_entities, span))
+    else:
+        spans = np.lib.stride_tricks.sliding_window_view(ds.values[start:end], span, axis=0)
+    spans = spans[::stride].transpose(0, 2, 1)  # (n, span, N)
+    return Windows(x=spans[:, :lookback], y=spans[:, lookback:])
 
 
 def smooth_templates(k: int, p: int) -> np.ndarray:

@@ -17,11 +17,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .clustering import PrototypeSet
-from .data import TimeSeriesDataset, WindowedInstance, make_windows
+from .data import TimeSeriesDataset, Windows, make_windows
 from .errors import ConfigError, ShapeError
 from .model import HyperParams, ModelParams, forward, init_params, params_from_arrays, predict
 from .optim import AdamW, OptimizerConfig
-from .util import require_finite, seed_stream
+from .util import fix_heap_policy, require_finite, seed_stream
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
@@ -36,13 +36,12 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
-def stack_windows(instances: list[WindowedInstance]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack instances into (B, lookback, N) inputs and (B, horizon, N) targets."""
-    if not instances:
+def stack_windows(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, lookback, N) inputs and (B, horizon, N) targets of the
+    windows: read-only views of the series, not copies."""
+    if not windows:
         raise ConfigError("no windows to stack; partition too short for this geometry")
-    x = np.stack([w.lookback for w in instances])
-    y = np.stack([w.target for w in instances])
-    return x, y
+    return windows.x, windows.y
 
 
 def _loss_graph(params: ModelParams, x: np.ndarray, y: np.ndarray):
@@ -127,6 +126,7 @@ def evaluate(
     params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int = 64
 ) -> tuple[float, float]:
     """(MSE, MAE) of the model over (x, y), computed in inference batches."""
+    fix_heap_policy()
     sq = 0.0
     ab = 0.0
     for lo in range(0, x.shape[0], batch_size):
@@ -154,6 +154,7 @@ def train(
         raise ConfigError(
             f"dataset has {dataset.n_entities} entities, hyperparameters say {hyper.n_entities}"
         )
+    fix_heap_policy()
     t0 = time.perf_counter()
     batches = {}
     for part in ("train", "val", "test"):
@@ -185,10 +186,8 @@ def train(
             loss, grads = backward(params, x_train[idx], y_train[idx])
             adam.step(params.arrays(), grads)
             sq_sum += float(loss.data) * y_train[idx].size
-            # Free the step's graph here, after the optimizer step. Held
-            # into the next backward it doubles the peak memory; freed
-            # inside `backward`, before the optimizer allocates, training
-            # at ETTh1 geometry ran ~15% slower, with ~4x the page faults.
+            # Free the step's graph here: held into the next backward it
+            # doubles the peak memory.
             del loss, grads
         epoch_train = sq_sum / y_train.size
         train_curve.append(epoch_train)

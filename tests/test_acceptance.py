@@ -165,7 +165,7 @@ def test_criterion_5_planted_recovery():
     worst_rms = 0.0
     for seed in range(20):
         result = generate_synthetic(4, 2400, 4, sigma, seed=seed)
-        segs = segment(result.dataset.values, 16, "temporal")
+        segs = segment(result.dataset.values, 16)
         init = fit(segs, 4, 0.2, max_iters=0, seed=seed)
         fitted = fit(segs, 4, 0.2, seed=seed)
         if not fitted.fit_meta.final_loss < init.fit_meta.final_loss:
@@ -218,7 +218,7 @@ def test_criterion_7_beats_persistence(planted):
     t0 = time.perf_counter()
     ds, _result = planted
     train_vals = ds.values[: ds.split[0]]
-    protos = fit(segment(train_vals, 16, "temporal"), 4, 0.2, max_iters=200, seed=0)
+    protos = fit(segment(train_vals, 16), 4, 0.2, max_iters=200, seed=0)
     hyper = HyperParams(p=16, d=16, m=4, k=4, lookback=64, horizon=16, n_entities=4)
     opt = OptimizerConfig(max_epochs=20, batch_size=32, patience=5, seed=0)
     _params, rep = train(ds, protos, hyper, opt)
@@ -292,7 +292,7 @@ def test_criterion_9_etth1_stretch():
     ds = split_and_normalize(ds, (0.6, 0.2, 0.2))
 
     protos = fit(
-        segment(ds.values[: ds.split[0]], 16, "temporal"), 16, 0.2, max_iters=300, seed=0
+        segment(ds.values[: ds.split[0]], 16), 16, 0.2, max_iters=300, seed=0
     )
     hyper = HyperParams(
         p=16, d=64, m=6, k=16, lookback=512, horizon=96, n_entities=ds.n_entities

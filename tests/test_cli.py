@@ -236,6 +236,16 @@ def test_cluster_rejects_nan_split_fraction(pipeline, tmp_path):
     assert "finite" in err
 
 
+def test_cluster_rejects_nan_tol(pipeline, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("cluster_tol=nan\n")
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--alpha", "0.2", "--out", str(tmp_path / "p.bin"),
+                        "--config", str(cfg)])
+    assert code == 1
+    assert "tol" in err
+
+
 def test_eval_rejects_model_with_nan_std(pipeline, tmp_path):
     model = tmp_path / "model.bin"
     tensors = read_container(pipeline["model"])

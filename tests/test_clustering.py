@@ -315,6 +315,13 @@ def test_fit_rejects_non_finite_alpha_before_computing_any_distance(monkeypatch,
     assert calls == []
 
 
+def test_fit_rejects_nan_tol_and_accepts_minus_inf():
+    segs = make_segments(np.random.default_rng(3).standard_normal((20, 4)))
+    with pytest.raises(ConfigError, match="tol"):
+        fit(segs, 2, 0.2, max_iters=30, tol=float("nan"))
+    assert fit(segs, 2, 0.2, max_iters=30, tol=-np.inf).fit_meta.iterations == 30
+
+
 def test_fit_handles_duplicate_heavy_input():
     # only two distinct rows but k=2: fit should land on them exactly
     base = np.array([[0.0, 1.0, 0.0, -1.0], [3.0, 3.5, 4.0, 4.5]])

@@ -196,23 +196,9 @@ def test_segment_reassembles_to_source(n_entities, l, p, seed):
     np.testing.assert_array_equal(rebuilt, x)
 
 
-def test_segment_entity_axis_transposes_window():
-    x = np.arange(12.0).reshape(4, 3)
-    sm = segment(x, 4, axis="entity")
-    np.testing.assert_array_equal(sm.segments, x.T)
-    np.testing.assert_array_equal(sm.provenance[:, 0], [0, 1, 2])
-
-
-def test_segment_entity_axis_needs_single_window():
-    with pytest.raises(ConfigError):
-        segment(np.zeros((8, 3)), 4, axis="entity")
-
-
 def test_segment_rejects_oversized_p():
     with pytest.raises(ConfigError):
         segment(np.zeros((4, 1)), 8)
-    with pytest.raises(ConfigError):
-        segment(np.zeros((8, 1)), 4, axis="sideways")
 
 
 # ---------------------------------------------------------------- windows
@@ -226,29 +212,62 @@ def _split_ds(t=100, n=2, seed=4):
     return split_and_normalize(ds, (0.7, 0.1, 0.2))
 
 
+def _origins(ds, windows, lo, hi):
+    """The origin of each window, found as the one start row in [lo, hi)
+    whose slice equals it; random data makes the match unique."""
+    out = []
+    for x in windows.x:
+        hits = [o for o in range(lo, hi) if np.array_equal(ds.values[o : o + len(x)], x)]
+        assert len(hits) == 1
+        out.append(hits[0])
+    return out
+
+
 def test_windows_counts_and_origins():
     ds = _split_ds()  # splits at 70, 80
     train = make_windows(ds, 8, 2, "train")
     assert len(train) == 70 - 10 + 1
-    assert train[0].origin == 0 and train[-1].origin == 60
+    np.testing.assert_array_equal(train.x[0], ds.values[0:8])
+    np.testing.assert_array_equal(train.x[-1], ds.values[60:68])
     val = make_windows(ds, 8, 2, "val")
-    assert [w.origin for w in val] == [70]
+    assert _origins(ds, val, 0, 100) == [70]
     test = make_windows(ds, 8, 2, "test")
-    assert [w.origin for w in test] == list(range(80, 91))
+    assert _origins(ds, test, 0, 100) == list(range(80, 91))
 
 
 def test_windows_never_cross_partition_boundary():
     ds = _split_ds()
     for part, (lo, hi) in (("train", (0, 70)), ("val", (70, 80)), ("test", (80, 100))):
-        for w in make_windows(ds, 8, 2, part):
-            assert lo <= w.origin and w.origin + 10 <= hi
+        windows = make_windows(ds, 8, 2, part)
+        for i, o in enumerate(_origins(ds, windows, 0, 100)):
+            assert lo <= o and o + 10 <= hi
+            np.testing.assert_array_equal(windows.y[i], ds.values[o + 8 : o + 10])
 
 
 def test_windows_slice_contiguously():
     ds = _split_ds()
-    w = make_windows(ds, 8, 2, "train")[13]
-    np.testing.assert_array_equal(w.lookback, ds.values[13:21])
-    np.testing.assert_array_equal(w.target, ds.values[21:23])
+    windows = make_windows(ds, 8, 2, "train")
+    x, y = windows.x[13], windows.y[13]
+    np.testing.assert_array_equal(x, ds.values[13:21])
+    np.testing.assert_array_equal(y, ds.values[21:23])
+    assert x.flags.c_contiguous and y.flags.c_contiguous
+
+
+def test_windows_are_read_only_views_of_the_series():
+    ds = _split_ds()
+    windows = make_windows(ds, 8, 2, "test")
+    for arr in (windows.x, windows.y):
+        assert np.shares_memory(arr, ds.values)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+
+
+def test_windows_of_a_short_partition_are_empty():
+    ds = _split_ds()  # val holds 10 rows
+    windows = make_windows(ds, 8, 3, "val")
+    assert len(windows) == 0
+    assert windows.x.shape == (0, 8, 2) and windows.y.shape == (0, 3, 2)
 
 
 def test_windows_require_split_and_known_partition():
@@ -261,8 +280,10 @@ def test_windows_require_split_and_known_partition():
 
 def test_windows_stride():
     ds = _split_ds()
-    origins = [w.origin for w in make_windows(ds, 8, 2, "train", stride=7)]
-    assert origins == list(range(0, 61, 7))
+    windows = make_windows(ds, 8, 2, "train", stride=7)
+    assert _origins(ds, windows, 0, 70) == list(range(0, 61, 7))
+    with pytest.raises(ConfigError):
+        make_windows(ds, 8, 2, "train", stride=0)
 
 
 # --------------------------------------------------------------- synthesis

@@ -1,10 +1,23 @@
 """Loss metrics, gradients, and the training loop."""
 
+import ctypes
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import focus_forecast
+from focus_forecast.bench import traced_peak_bytes
 from focus_forecast.clustering import PrototypeSet
-from focus_forecast.data import generate_synthetic, make_windows, split_and_normalize
+from focus_forecast.data import (
+    TimeSeriesDataset,
+    generate_synthetic,
+    make_windows,
+    split_and_normalize,
+)
 from focus_forecast.errors import ConfigError, NumericalError, ShapeError
 from focus_forecast.model import HyperParams, ModelParams, init_params, predict
 from focus_forecast.optim import OptimizerConfig
@@ -58,10 +71,63 @@ def test_stack_windows_shapes_and_empty():
     x, y = stack_windows(wins)
     assert x.shape == (len(wins), HYPER.lookback, 3)
     assert y.shape == (len(wins), HYPER.horizon, 3)
-    np.testing.assert_array_equal(x[0], wins[0].lookback)
-    np.testing.assert_array_equal(y[0], wins[0].target)
+    o = ds.split[0]  # the first val window starts at the partition's first row
+    span = HYPER.lookback + HYPER.horizon
+    np.testing.assert_array_equal(x[0], ds.values[o : o + HYPER.lookback])
+    np.testing.assert_array_equal(y[0], ds.values[o + HYPER.lookback : o + span])
     with pytest.raises(ConfigError):
-        stack_windows([])
+        stack_windows(make_windows(ds, 200, HYPER.horizon, "val"))
+
+
+def test_stacking_windows_allocates_less_than_the_series():
+    # ETTh1's length and entity count: copies of its windows would take ~100x the series
+    ds = split_and_normalize(
+        TimeSeriesDataset(np.random.default_rng(0).standard_normal((17_420, 7)), ["e"] * 7),
+        (0.6, 0.2, 0.2),
+    )
+    peak = traced_peak_bytes(lambda: stack_windows(make_windows(ds, 512, 96, "test")))
+    assert peak < ds.values.nbytes
+
+
+def _libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _libc_has_mallopt(), reason="libc has no mallopt")
+def test_repeated_evaluate_faults_in_no_new_pages():
+    # ETTh1 geometry; a fresh process, so no earlier test has set its heap history
+    script = textwrap.dedent(
+        """
+        import resource
+        import numpy as np
+        from focus_forecast.clustering import PrototypeSet
+        from focus_forecast.data import TimeSeriesDataset, make_windows, split_and_normalize
+        from focus_forecast.model import HyperParams, init_params
+        from focus_forecast.training import evaluate, stack_windows
+
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((1200, 7))
+        ds = split_and_normalize(TimeSeriesDataset(values, ["e"] * 7), (0.8, 0.1, 0.1))
+        hyper = HyperParams(p=16, d=64, m=6, k=16, lookback=512, horizon=96, n_entities=7)
+        params = init_params(hyper, PrototypeSet(rng.standard_normal((16, 16)), alpha=0.2))
+        x, y = stack_windows(make_windows(ds, 512, 96, "train"))
+        x, y = x[:256], y[:256]
+        evaluate(params, x, y)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        evaluate(params, x, y)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(focus_forecast.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.split()[-1]) < 2000
 
 
 # ------------------------------------------------------------- gradients
