@@ -37,11 +37,10 @@ def main(argv=None) -> int:
             p=args.p, bank="mean_matched",
         )
         ds = split_and_normalize(result.dataset, (0.7, 0.1, 0.2))
-        rows = offline_ablation(
+        with_term, without = offline_ablation(
             ds, k=args.k, p=args.p, alphas=(args.alpha, 0.0),
             templates=result.templates, seed=seed, max_iters=args.max_iters,
         )
-        with_term, without = rows[0].template_corr, rows[1].template_corr
         margin = with_term - without
         margins.append(margin)
         wins += with_term >= without

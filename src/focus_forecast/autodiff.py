@@ -47,12 +47,9 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def backward(self, grad: np.ndarray | None = None):
-        """Accumulate gradients into every tensor reachable from this one.
-
-        grad seeds this tensor's gradient (ones when omitted); it must have
-        this tensor's shape and is used as float64.
-        """
+    def backward(self):
+        """Accumulate gradients into every tensor reachable from this one,
+        seeding this tensor's gradient with ones."""
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -68,15 +65,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        if grad is None:
-            seed = np.ones_like(self.data)
-        else:
-            seed = np.asarray(grad, dtype=np.float64)
-            if seed.shape != self.data.shape:
-                raise ShapeError(
-                    f"seed gradient has shape {seed.shape}, tensor has {self.data.shape}"
-                )
-        self.grad = seed
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)

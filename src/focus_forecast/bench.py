@@ -114,11 +114,11 @@ class BenchReport:
     """Timing/cost rows plus a log-log slope per experiment.
 
     Slopes are least-squares fits of log(median time) against log(size)
-    over the three largest sizes, with the fit's squared residual.
+    over the three largest sizes.
     """
 
     rows: tuple[BenchRow, ...]
-    slopes: dict[str, tuple[float, float]]
+    slopes: dict[str, float]
 
     def to_csv(self) -> str:
         lines = ["experiment,size,median_ns,flops,peak_bytes,slope"]
@@ -127,7 +127,7 @@ class BenchReport:
             by_exp.setdefault(row.experiment, []).append(row)
         for exp, rows in by_exp.items():
             for i, row in enumerate(rows):
-                slope = f"{self.slopes[exp][0]:.6f}" if i == len(rows) - 1 else ""
+                slope = f"{self.slopes[exp]:.6f}" if i == len(rows) - 1 else ""
                 lines.append(
                     f"{row.experiment},{row.size},{row.median_ns},{row.flops},"
                     f"{row.peak_bytes},{slope}"
@@ -135,12 +135,11 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def _fit_slope(sizes, seconds) -> tuple[float, float]:
+def _fit_slope(sizes, seconds) -> float:
     tail = min(3, len(sizes))
     x = np.log(np.asarray(sizes[-tail:], dtype=np.float64))
     y = np.log(np.asarray(seconds[-tail:], dtype=np.float64))
-    coeffs, res, *_ = np.polyfit(x, y, 1, full=True)
-    return float(coeffs[0]), float(res[0]) if res.size else 0.0
+    return float(np.polyfit(x, y, 1)[0])
 
 
 def traced_peak_bytes(fn) -> int:
@@ -193,8 +192,6 @@ def scaling_sweep(
     d: int = 64,
     p: int = 16,
     m: int = 6,
-    n_entities: int = 4,
-    horizon: int = 16,
     seed: int = 0,
 ) -> BenchReport:
     """Time one attention path (or the whole model) at several window sizes.
@@ -203,7 +200,8 @@ def scaling_sweep(
     hits all of them equally; per-size times are medians of 7 timed
     repetitions after 2 warmups, single-threaded. After the timing, each
     size's call runs once more, untimed, for its `traced_peak_bytes`. For
-    end_to_end, size is the segment count l and the lookback is l*p.
+    end_to_end, size is the segment count l of a 4-entity model with
+    lookback l*p and horizon 16.
     """
     if mode not in SWEEP_MODES:
         raise ConfigError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
@@ -218,11 +216,11 @@ def scaling_sweep(
         rng = seed_stream(seed, f"bench-{mode}-l{l}")
         if mode == "end_to_end":
             hyper = HyperParams(
-                p=p, d=d, m=m, k=k, lookback=l * p, horizon=horizon, n_entities=n_entities
+                p=p, d=d, m=m, k=k, lookback=l * p, horizon=16, n_entities=4
             )
             protos = PrototypeSet(rng.standard_normal((k, p)), alpha=0.2)
             params = init_params(hyper, protos, seed=seed)
-            x = rng.standard_normal((1, l * p, n_entities))
+            x = rng.standard_normal((1, l * p, hyper.n_entities))
             cases.append((l, functools.partial(predict, params, x), count_forward_flops(hyper)))
         else:
             raw = rng.standard_normal((l, p))
@@ -276,51 +274,34 @@ def lowrank_error(segments: np.ndarray, protos: PrototypeSet, w: np.ndarray) -> 
     return err / denom
 
 
-@dataclass(frozen=True)
-class LowRankProbe:
-    k_values: tuple[int, ...]
-    median_errors: tuple[float, ...]
-
-
 def _segment_matrix(rows: np.ndarray) -> SegmentMatrix:
     n = rows.shape[0]
     prov = np.stack([np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.int64)], axis=1)
     return SegmentMatrix(segments=rows, provenance=prov)
 
 
-def lowrank_probe(
-    k_values: tuple[int, ...] = (4, 8, 16, 32),
-    r: int = 8,
-    l: int = 512,
-    p: int = 32,
-    trials: int = 50,
-    alpha: float = 0.2,
-    seed: int = 0,
-    max_iters: int = 150,
-) -> LowRankProbe:
-    """Median relative error of the prototype stand-in on rank-r segments.
+def lowrank_probe() -> tuple[float, ...]:
+    """Median relative error of the prototype stand-in on rank-8 segments,
+    one per prototype budget k = 4, 8, 16, 32.
 
-    Each trial draws a random rank-r segment matrix (orthonormal column
-    span times a random mixing matrix) and a random probe vector, fits
-    prototypes at each k, and measures lowrank_error. Larger prototype
-    budgets should not hurt: medians are expected non-increasing in k.
+    Each of 50 trials draws a random rank-8 (512, 32) segment matrix
+    (orthonormal column span times a random mixing matrix) and a random
+    probe vector, fits prototypes (alpha 0.2, 150 iterations) at each k,
+    and measures lowrank_error. Larger prototype budgets should not hurt:
+    medians are expected non-increasing in k.
     """
-    if r > min(l, p):
-        raise ConfigError(f"rank r={r} exceeds min(l, p)={min(l, p)}")
+    k_values, r, l, p = (4, 8, 16, 32), 8, 512, 32
     errors: dict[int, list[float]] = {k: [] for k in k_values}
-    for trial in range(trials):
-        rng = seed_stream(seed, f"probe-{trial}")
+    for trial in range(50):
+        rng = seed_stream(0, f"probe-{trial}")
         basis = np.linalg.qr(rng.standard_normal((l, r)))[0]
         rows = basis @ rng.standard_normal((r, p))
         w = rng.standard_normal(p)
         segs = _segment_matrix(rows)
         for k in k_values:
-            protos = fit(segs, k, alpha, max_iters=max_iters, seed=trial)
+            protos = fit(segs, k, 0.2, max_iters=150, seed=trial)
             errors[k].append(lowrank_error(rows, protos, w))
-    return LowRankProbe(
-        k_values=tuple(k_values),
-        median_errors=tuple(float(np.median(errors[k])) for k in k_values),
-    )
+    return tuple(float(np.median(errors[k])) for k in k_values)
 
 
 def prototype_template_correlation(protos: PrototypeSet, templates: np.ndarray) -> float:
@@ -331,42 +312,28 @@ def prototype_template_correlation(protos: PrototypeSet, templates: np.ndarray) 
     return float(np.mean(scores))
 
 
-@dataclass(frozen=True, eq=False)
-class AblationRow:
-    alpha: float
-    protos: PrototypeSet
-    template_corr: float | None
-
-
 def offline_ablation(
     dataset: TimeSeriesDataset,
     k: int,
     p: int,
-    alphas: tuple[float, ...] = (0.2, 0.0),
-    templates: np.ndarray | None = None,
+    alphas: tuple[float, ...],
+    templates: np.ndarray,
     seed: int = 0,
     max_iters: int = 200,
-) -> tuple[AblationRow, ...]:
-    """Fit prototypes on the train split once per alpha.
+) -> tuple[float, ...]:
+    """Fit prototypes on the train split once per alpha and score how well
+    each fit recovers the planted templates (`prototype_template_correlation`).
 
-    With templates given (planted data), each row also scores how well
-    the learned prototypes recover them. Everything except alpha is held
-    identical across rows.
+    Everything except alpha is held identical across fits.
     """
     if dataset.split is None:
         raise ConfigError("dataset must be split before the ablation")
     train_vals = dataset.values[: dataset.split[0]]
     segs = segment(train_vals, p)
-    rows = []
-    for alpha in alphas:
-        protos = fit(segs, k, alpha, max_iters=max_iters, seed=seed)
-        corr = (
-            prototype_template_correlation(protos, templates)
-            if templates is not None
-            else None
-        )
-        rows.append(AblationRow(alpha, protos, corr))
-    return tuple(rows)
+    return tuple(
+        prototype_template_correlation(fit(segs, k, alpha, max_iters=max_iters, seed=seed), templates)
+        for alpha in alphas
+    )
 
 
 def persistence_baseline(x: np.ndarray, horizon: int) -> np.ndarray:

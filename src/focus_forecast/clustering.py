@@ -288,13 +288,6 @@ def fit(
     rng = seed_stream(seed, "init")
     protos = _init_prototypes(segs, sq, unit, k, alpha, rng)
 
-    def loss_at(protos: np.ndarray):
-        state = _nearest(segs, sq, unit, protos, alpha)
-        return _loss(_bucket_stats(segs, unit, state.assignment, k), protos, alpha)[0]
-
-    if max_iters == 0:
-        return PrototypeSet(protos, alpha, FitMeta(0, loss_at(protos), seed))
-
     adam = AdamW(opt)
     losses: list[float] = []
     best_loss = np.inf
@@ -316,7 +309,8 @@ def fit(
                 break
         adam.step({"prototypes": protos}, {"prototypes": _loss_grad(stats, protos, alpha)})
 
-    total = loss_at(protos)
+    state = _nearest(segs, sq, unit, protos, alpha)
+    total = _loss(_bucket_stats(segs, unit, state.assignment, k), protos, alpha)[0]
     if total < best_loss:
         best_loss = total
         best = protos.copy()

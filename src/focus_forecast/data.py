@@ -264,7 +264,7 @@ def smooth_templates(k: int, p: int) -> np.ndarray:
     return out
 
 
-def mean_matched_templates(k: int, p: int, amplitude: float = 0.3) -> np.ndarray:
+def mean_matched_templates(k: int, p: int) -> np.ndarray:
     """Zero-mean bank of +/- shape pairs: close in L2 yet anti-correlated.
 
     Built so distance-only clustering struggles to tell members of a pair
@@ -283,7 +283,7 @@ def mean_matched_templates(k: int, p: int, amplitude: float = 0.3) -> np.ndarray
         base = shapes[(i // 2) % len(shapes)]
         base = base - base.mean()
         base = base / np.linalg.norm(base)
-        out[i] = (-1.0) ** i * amplitude * (1.0 + 0.15 * (i // 2)) * base
+        out[i] = (-1.0) ** i * 0.3 * (1.0 + 0.15 * (i // 2)) * base  # pair j: norm 0.3 (1 + 0.15 j)
     return out
 
 
@@ -294,7 +294,6 @@ class SyntheticResult:
     dataset: TimeSeriesDataset
     templates: np.ndarray  # (k_true, p)
     template_ids: np.ndarray  # (n_entities, n_windows)
-    p: int
 
 
 def generate_synthetic(
@@ -331,4 +330,4 @@ def generate_synthetic(
     noise = rng.normal(0.0, noise_sigma, size=(n_entities, n_steps)) if noise_sigma > 0 else 0.0
     values = np.ascontiguousarray((clean + noise).T)
     ds = TimeSeriesDataset(values=values, entity_names=[f"e{i}" for i in range(n_entities)])
-    return SyntheticResult(dataset=ds, templates=templates, template_ids=ids, p=p)
+    return SyntheticResult(dataset=ds, templates=templates, template_ids=ids)

@@ -259,7 +259,7 @@ def fuse_and_forecast(params: ModelParams, h_t: BranchFeature, h_e: BranchFeatur
     f_t = _readout(t["q_read"], h_t, scale)
     f_e = _readout(t["q_read"], h_e, scale)
     gate = ad.sigmoid(ad.add(ad.matmul(ad.concat_last(f_t, f_e), t["gate_w"]), t["gate_b"]))
-    blended = ad.add(ad.mul(gate, f_t), ad.mul(ad.sub(ad.constant(1.0), gate), f_e))
+    blended = ad.add(f_e, ad.mul(gate, ad.sub(f_t, f_e)))  # gate f_t + (1 - gate) f_e
     flat = ad.reshape(blended, blended.shape[:-2] + (h.m * h.d,))
     pred = ad.add(ad.matmul(flat, t["head_w"]), t["head_b"])  # (batch, N, horizon)
     return ad.permute(pred, (0, 2, 1))

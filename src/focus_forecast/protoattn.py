@@ -9,8 +9,9 @@ it, with or without gradients. Queries and keys are linear maps, so the
 key map folds into a (k, w) query in the segments' own space, and the
 value and output maps are applied to the k context rows before the
 gather, which makes rows of segments sharing a bucket literal copies of
-each other. `full_attention` is an independent quadratic oracle for the
-same function.
+each other. `full_attention` is the quadratic per-segment self-attention
+that prototype queries approximate; the two agree when every segment
+equals its prototype.
 """
 
 from __future__ import annotations
@@ -141,16 +142,19 @@ def full_attention(
     protos_emb: np.ndarray,
     weights: ProtoAttnWeights,
 ) -> np.ndarray:
-    """Quadratic reference: each segment queries with its prototype's row.
+    """Quadratic reference: per-segment self-attention, in which every
+    segment queries with its own row,
+    softmax((S w_e)(S w_k)^T / sqrt(d)) (S w_v) w_o.
 
     Plain numpy, independent of `bucket_contexts`: an (l, l) softmax over
-    the segments per query row q_raw[idx], then the value and output maps
-    on all l rows. Mathematically identical output to proto_attention, at
-    O(l^2) cost.
+    the segments, then the value and output maps on all l rows, at O(l^2)
+    cost. The assignment and prototypes are only shape-checked. Where
+    every segment equals its assigned prototype this is proto_attention's
+    function; elsewhere the difference is the error of prototype queries.
     """
     _check_inputs(segments, assignment, protos_emb, weights)
-    q_raw = (protos_emb @ weights.w_e) @ weights.w_k.T  # (k, p_in)
-    scores = (weights.scale * q_raw[assignment.indices]) @ segments.T  # (l, l)
+    q_raw = (segments @ weights.w_e) @ weights.w_k.T  # (l, p_in)
+    scores = (weights.scale * q_raw) @ segments.T  # (l, l)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
     return ((attn @ segments) @ weights.w_v) @ weights.w_o
@@ -195,8 +199,8 @@ def count_flops(l: int, k: int, d: int, p: int) -> FlopCount:
 
 def count_flops_full(l: int, d: int) -> int:
     """Cost model for the quadratic reference: l^2-sized score and
-    aggregation stages plus the value and output maps per segment. The
-    (k, d) query products do not grow with l and are left out."""
+    aggregation stages, plus per segment the two query products
+    (S w_e) w_k^T and the value and output maps."""
     if min(l, d) < 0:
         raise ConfigError("flop counts need non-negative sizes")
-    return 2 * l * l * d + 2 * l * d * d
+    return 2 * l * l * d + 4 * l * d * d

@@ -10,7 +10,6 @@ carry no gradient.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +74,7 @@ def backward(
     return loss, grads
 
 
-def gradient_check(
-    params: ModelParams, x: np.ndarray, y: np.ndarray, h: float = 1e-4
-) -> dict[str, float]:
+def gradient_check(params: ModelParams, x: np.ndarray, y: np.ndarray) -> dict[str, float]:
     """Normwise relative error between analytic and central-difference grads.
 
     Perturbs every entry of every parameter tensor. Assignments depend
@@ -85,6 +82,7 @@ def gradient_check(
     under a parameter perturbation and the loss is smooth in params.
     """
     analytic = backward(params, x, y)[1]
+    h = 1e-4  # central-difference step
     rel: dict[str, float] = {}
     for name in sorted(params.tensors):
         flat = params.tensors[name].data.ravel()
@@ -107,8 +105,7 @@ def gradient_check(
 class TrainReport:
     """Loss trajectory, stopping info, and test metrics; epochs are 1-based.
 
-    Metrics are in normalized space. wall_seconds is the only field that
-    varies between identical runs.
+    Metrics are in normalized space. Identical runs give equal reports.
     """
 
     epochs: int
@@ -118,8 +115,6 @@ class TrainReport:
     best_val: float
     test_mse: float
     test_mae: float
-    seed: int
-    wall_seconds: float
 
 
 def evaluate(
@@ -155,7 +150,6 @@ def train(
             f"dataset has {dataset.n_entities} entities, hyperparameters say {hyper.n_entities}"
         )
     fix_heap_policy()
-    t0 = time.perf_counter()
     batches = {}
     for part in ("train", "val", "test"):
         windows = make_windows(dataset, hyper.lookback, hyper.horizon, part)
@@ -212,7 +206,5 @@ def train(
         best_val=best_val,
         test_mse=test_mse,
         test_mae=test_mae,
-        seed=opt.seed,
-        wall_seconds=time.perf_counter() - t0,
     )
     return best, report

@@ -340,31 +340,8 @@ def test_reused_node_feeds_two_consumers():
     x = Tensor(np.array([3.0]), requires_grad=True)
     y = ad.mul(x, x)
     z = ad.add(y, y)  # z = 2x^2, dz/dx = 4x
-    z.backward(np.array([1.0]))
+    z.backward()
     np.testing.assert_allclose(x.grad, [12.0], atol=1e-12)
-
-
-def test_backward_with_custom_seed_gradient():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    y = ad.scale(x, 3.0)
-    seed = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y.backward(seed)
-    np.testing.assert_array_equal(x.grad, 3.0 * seed)
-
-
-def test_backward_rejects_seed_of_wrong_shape():
-    x = Tensor(np.ones(3), requires_grad=True)
-    y = ad.scale(x, 2.0)
-    with pytest.raises(ShapeError):
-        y.backward(np.ones(2))
-    assert x.grad is None
-
-
-def test_backward_casts_seed_to_float64():
-    x = Tensor(np.ones(3), requires_grad=True)
-    ad.scale(x, 2.0).backward(np.array([1.0, 2.0, 3.0], dtype=np.float32))
-    assert x.grad.dtype == np.float64
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
 
 
 def test_no_grad_suppresses_graph():

@@ -15,8 +15,8 @@ from focus_forecast.bench import (
     scaling_sweep,
     traced_peak_bytes,
 )
-from focus_forecast.clustering import PrototypeSet
-from focus_forecast.data import generate_synthetic, split_and_normalize
+from focus_forecast.clustering import PrototypeSet, fit
+from focus_forecast.data import generate_synthetic, segment
 from focus_forecast.errors import ConfigError
 from focus_forecast.model import HyperParams
 from focus_forecast.protoattn import count_flops, count_flops_full
@@ -156,7 +156,7 @@ def test_scaling_sweep_rows_and_csv():
     # slope only on the last row of the experiment
     assert lines[1].endswith(",") and lines[2].endswith(",")
     assert lines[3].split(",")[-1] != ""
-    assert float(lines[3].split(",")[-1]) == pytest.approx(report.slopes["protoattn"][0], abs=1e-6)
+    assert float(lines[3].split(",")[-1]) == pytest.approx(report.slopes["protoattn"], abs=1e-6)
 
 
 def test_scaling_sweep_full_attn_uses_quadratic_cost_model():
@@ -166,10 +166,10 @@ def test_scaling_sweep_full_attn_uses_quadratic_cost_model():
 
 
 def test_scaling_sweep_end_to_end_runs():
-    report = scaling_sweep("end_to_end", (2, 4, 6), k=4, d=8, p=4, m=2, n_entities=2, horizon=4)
+    report = scaling_sweep("end_to_end", (2, 4, 6), k=4, d=8, p=4, m=2)
     assert [r.size for r in report.rows] == [2, 4, 6]
     for row in report.rows:
-        h = HyperParams(p=4, d=8, m=2, k=4, lookback=row.size * 4, horizon=4, n_entities=2)
+        h = HyperParams(p=4, d=8, m=2, k=4, lookback=row.size * 4, horizon=16, n_entities=4)
         assert row.flops == count_forward_flops(h)
         assert row.peak_bytes > 0
 
@@ -206,17 +206,15 @@ def test_rep_counts_are_sane():
 
 def test_offline_ablation_rows(planted):
     ds, result = planted
-    rows = offline_ablation(ds, k=4, p=16, alphas=(0.2, 0.0), templates=result.templates, max_iters=30)
-    assert [r.alpha for r in rows] == [0.2, 0.0]
-    for row in rows:
-        assert row.protos.k == 4 and row.protos.p == 16
-        assert -1.0 <= row.template_corr <= 1.0
+    corrs = offline_ablation(ds, k=4, p=16, alphas=(0.2, 0.0), templates=result.templates, max_iters=30)
+    segs = segment(ds.values[: ds.split[0]], 16)
+    for alpha, corr in zip((0.2, 0.0), corrs, strict=True):
+        protos = fit(segs, 4, alpha, max_iters=30, seed=0)
+        assert corr == prototype_template_correlation(protos, result.templates)
+        assert -1.0 <= corr <= 1.0
 
 
-def test_offline_ablation_without_templates_or_split():
+def test_offline_ablation_requires_split():
     result = generate_synthetic(2, 300, 2, 0.1, seed=3, p=8)
     with pytest.raises(ConfigError):
-        offline_ablation(result.dataset, k=2, p=8)
-    ds = split_and_normalize(result.dataset, (0.7, 0.1, 0.2))
-    rows = offline_ablation(ds, k=2, p=8, alphas=(0.2,), max_iters=20)
-    assert rows[0].template_corr is None
+        offline_ablation(result.dataset, k=2, p=8, alphas=(0.2,), templates=result.templates)

@@ -86,17 +86,34 @@ def _kernel_case(rng, l=12, k=4, d=8):
     return segs, AssignmentMatrix(indices=idx, k=k), protos_emb, rand_weights(rng, d, d)
 
 
-def test_matches_textbook_attention_with_per_segment_projections():
-    """Both wrappers fold the key map into the queries; a transcription
-    that projects every segment computes the same function."""
-    rng = np.random.default_rng(9)
-    segs, a, protos_emb, w = _kernel_case(rng, l=11, k=3, d=6)
-    queries = (protos_emb @ w.w_e)[a.indices]  # each segment's prototype query
+def _textbook_attention(queries, segs, w):
     scores = queries @ (segs @ w.w_k).T * w.scale
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    ref = (e / e.sum(axis=1, keepdims=True)) @ (segs @ w.w_v) @ w.w_o
-    np.testing.assert_allclose(proto_attention(segs, a, protos_emb, w), ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(full_attention(segs, a, protos_emb, w), ref, rtol=1e-12, atol=1e-12)
+    return (e / e.sum(axis=1, keepdims=True)) @ (segs @ w.w_v) @ w.w_o
+
+
+def test_matches_textbook_attention_with_per_segment_projections():
+    """Both wrappers fold the key map into the queries; transcriptions
+    that project every segment compute the same functions: prototype
+    queries for proto_attention, each segment's own for full_attention."""
+    rng = np.random.default_rng(9)
+    segs, a, protos_emb, w = _kernel_case(rng, l=11, k=3, d=6)
+    proto_ref = _textbook_attention((protos_emb @ w.w_e)[a.indices], segs, w)
+    full_ref = _textbook_attention(segs @ w.w_e, segs, w)
+    np.testing.assert_allclose(proto_attention(segs, a, protos_emb, w), proto_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(full_attention(segs, a, protos_emb, w), full_ref, rtol=1e-12, atol=1e-12)
+
+
+def test_full_attention_differs_from_prototype_queries_off_the_prototypes():
+    # on segments that are not their prototypes, per-segment queries see
+    # different attention weights than the prototype's
+    rng = np.random.default_rng(10)
+    gaps = []
+    for _ in range(20):
+        segs, a, protos_emb, w = _kernel_case(rng)
+        gap = proto_attention(segs, a, protos_emb, w) - full_attention(segs, a, protos_emb, w)
+        gaps.append(np.max(np.abs(gap)))
+    assert min(gaps) > 1e-3, gaps
 
 
 def test_matches_full_attention_on_prototype_valued_inputs():
@@ -201,12 +218,13 @@ def test_flop_total_is_affine_in_l():
 
 
 def test_full_attention_quadratic_stage_ratio():
-    # count_flops_full = 2*l^2*d (scores, aggregation) + 2*l*d^2 (value and
-    # output maps per segment); the first part quadruples when l doubles
+    # count_flops_full = 2*l^2*d (scores, aggregation) + 4*l*d^2 (query,
+    # value and output maps per segment); the first part quadruples when l
+    # doubles
     d = 32
     for l in (64, 256, 1024):
-        quad = count_flops_full(2 * l, d) - 2 * (2 * l) * d * d
-        base = count_flops_full(l, d) - 2 * l * d * d
+        quad = count_flops_full(2 * l, d) - 4 * (2 * l) * d * d
+        base = count_flops_full(l, d) - 4 * l * d * d
         assert quad == 4 * base == 4 * 2 * l * l * d
 
 
