@@ -31,8 +31,8 @@ from .data import SegmentMatrix, TimeSeriesDataset, segment
 from .errors import ConfigError
 from .model import HyperParams, init_params, predict
 from .protoattn import (
+    AssignmentMatrix,
     ProtoAttnWeights,
-    build_assignment,
     count_flops,
     count_flops_full,
     full_attention,
@@ -201,15 +201,17 @@ def scaling_sweep(
     repetitions after 2 warmups, single-threaded. After the timing, each
     size's call runs once more, untimed, for its `traced_peak_bytes`. For
     end_to_end, size is the segment count l of a 4-entity model with
-    lookback l*p and horizon 16.
+    lookback l*p and horizon 16; p and m shape only that mode.
     """
     if mode not in SWEEP_MODES:
         raise ConfigError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+    if k < 1 or d < 1:
+        raise ConfigError(f"k and d must be >= 1, got k={k}, d={d}")
     sizes = tuple(int(s) for s in sizes)
     if len(sizes) < 3:
         raise ConfigError(f"need at least 3 sizes to fit a slope, got {len(sizes)}")
-    if min(sizes) < 1 or list(sizes) != sorted(sizes):
-        raise ConfigError("sizes must be positive and ascending")
+    if min(sizes) < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ConfigError(f"sizes must be positive and strictly ascending, got {sizes}")
 
     cases = []
     for l in sizes:
@@ -222,22 +224,18 @@ def scaling_sweep(
             params = init_params(hyper, protos, seed=seed)
             x = rng.standard_normal((1, l * p, hyper.n_entities))
             cases.append((l, functools.partial(predict, params, x), count_forward_flops(hyper)))
-        else:
-            raw = rng.standard_normal((l, p))
-            protos = PrototypeSet(rng.standard_normal((k, p)), alpha=0.2)
-            assignment = build_assignment(raw, protos)
-            seg_emb = rng.standard_normal((l, d))
+            continue
+        segments = rng.standard_normal((l, d))
+        weights = ProtoAttnWeights(*(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)))
+        if mode == "protoattn":
+            # the kernel's cost does not depend on bucket occupancy
+            assignment = AssignmentMatrix(indices=rng.integers(k, size=l), k=k)
             protos_emb = rng.standard_normal((k, d))
-            weights = ProtoAttnWeights(
-                *(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4))
-            )
-            if mode == "protoattn":
-                kernel, flops = proto_attention, count_flops(l, k, d, p).total
-            else:
-                kernel, flops = full_attention, count_flops_full(l, d)
-            cases.append(
-                (l, functools.partial(kernel, seg_emb, assignment, protos_emb, weights), flops)
-            )
+            fn = functools.partial(proto_attention, segments, assignment, protos_emb, weights)
+            cases.append((l, fn, count_flops(l, k, d)))
+        else:
+            fn = functools.partial(full_attention, segments, weights)
+            cases.append((l, fn, count_flops_full(l, d)))
 
     times: dict[int, list[float]] = {l: [] for l in sizes}
     with _single_thread():

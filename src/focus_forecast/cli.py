@@ -189,9 +189,13 @@ def cmd_bench(args) -> int:
         raise ConfigError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}"
         ) from None
+    modes = [mode.strip() for mode in args.mode.split(",")]
+    for i, mode in enumerate(modes):
+        if mode in modes[:i]:
+            raise ConfigError(f"--mode lists {mode!r} more than once")
     reports = [
-        scaling_sweep(mode.strip(), sizes, k=cfg.k, d=cfg.d, p=cfg.p, m=cfg.m, seed=cfg.seed)
-        for mode in args.mode.split(",")
+        scaling_sweep(mode, sizes, k=cfg.k, d=cfg.d, p=cfg.p, m=cfg.m, seed=cfg.seed)
+        for mode in modes
     ]
     merged = BenchReport(
         rows=tuple(row for r in reports for row in r.rows),

@@ -313,6 +313,8 @@ def generate_synthetic(
     """
     if k_true < 1:
         raise ConfigError(f"k_true must be >= 1, got {k_true}")
+    if p < 2:
+        raise ConfigError(f"template length p must be >= 2, got {p}")
     if not 0 <= noise_sigma < math.inf:  # NaN too
         raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if n_entities < 1 or n_steps < p:

@@ -46,31 +46,21 @@ class AssignmentMatrix:
 
 @dataclass(frozen=True)
 class ProtoAttnWeights:
-    """Projections: query/key/value map inputs (width p_in) to d; the
-    output projection is d to d. Embedded segments have p_in == d; the
-    forecaster instead folds its embedding into the weights."""
+    """Square (d, d) query, key, value and output maps on d-wide rows."""
 
-    w_e: np.ndarray  # (p_in, d), applied to prototypes
-    w_k: np.ndarray  # (p_in, d)
-    w_v: np.ndarray  # (p_in, d)
+    w_e: np.ndarray  # (d, d), applied to prototypes
+    w_k: np.ndarray  # (d, d)
+    w_v: np.ndarray  # (d, d)
     w_o: np.ndarray  # (d, d)
 
     def __post_init__(self):
-        p_in, d = self.w_e.shape
-        if self.w_k.shape != (p_in, d) or self.w_v.shape != (p_in, d):
-            raise ShapeError(
-                f"w_k/w_v must match w_e shape ({p_in}, {d}), got "
-                f"{self.w_k.shape} and {self.w_v.shape}"
-            )
-        if self.w_o.shape != (d, d):
-            raise ShapeError(f"w_o must be ({d}, {d}), got {self.w_o.shape}")
+        d = self.w_e.shape[-1]
         for name in ("w_e", "w_k", "w_v", "w_o"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            w = getattr(self, name)
+            if w.shape != (d, d):
+                raise ShapeError(f"{name} must be ({d}, {d}), got {w.shape}")
+            if not np.all(np.isfinite(w)):
                 raise NumericalError(f"non-finite value in tensor '{name}'")
-
-    @property
-    def p_in(self) -> int:
-        return self.w_e.shape[0]
 
     @property
     def d(self) -> int:
@@ -102,18 +92,10 @@ def bucket_contexts(q_raw: Tensor, raw: np.ndarray, scale: float) -> Tensor:
     return ad.matmul(ad.softmax(scores), ad.constant(raw))
 
 
-def _check_inputs(segments, assignment, protos_emb, weights):
-    p_in = weights.p_in
-    if segments.ndim != 2 or segments.shape[1] != p_in:
-        raise ShapeError(f"segments must be (l, {p_in}), got {segments.shape}")
-    if protos_emb.shape != (assignment.k, p_in):
-        raise ShapeError(
-            f"embedded prototypes must be ({assignment.k}, {p_in}), got {protos_emb.shape}"
-        )
-    if assignment.l != segments.shape[0]:
-        raise ShapeError(
-            f"assignment covers {assignment.l} segments, input has {segments.shape[0]}"
-        )
+def _check_segments(segments, weights):
+    d = weights.d
+    if segments.ndim != 2 or segments.shape[1] != d:
+        raise ShapeError(f"segments must be (l, {d}), got {segments.shape}")
 
 
 def proto_attention(
@@ -124,36 +106,39 @@ def proto_attention(
 ) -> np.ndarray:
     """Attend once per prototype over the window, then gather per segment.
 
-    segments and protos_emb are in input space (l, p_in) / (k, p_in).
+    segments and protos_emb are embedded, (l, d) / (k, d).
     Scores (P w_e)(S w_k)^T equal q_raw S^T with q_raw = (P w_e) w_k^T,
     so `bucket_contexts` runs on the segments themselves, and the value
     and output maps run on its k rows before the gather. Cost is
-    O(l * k * p_in + k * d^2); returns (l, d).
+    `count_flops(l, k, d)`; returns (l, d).
     """
-    _check_inputs(segments, assignment, protos_emb, weights)
-    q_raw = (protos_emb @ weights.w_e) @ weights.w_k.T  # (k, p_in)
+    _check_segments(segments, weights)
+    if protos_emb.shape != (assignment.k, weights.d):
+        raise ShapeError(
+            f"embedded prototypes must be ({assignment.k}, {weights.d}), got {protos_emb.shape}"
+        )
+    if assignment.l != segments.shape[0]:
+        raise ShapeError(
+            f"assignment covers {assignment.l} segments, input has {segments.shape[0]}"
+        )
+    q_raw = (protos_emb @ weights.w_e) @ weights.w_k.T  # (k, d)
     contexts = bucket_contexts(ad.constant(q_raw), segments, weights.scale).data
     return ((contexts @ weights.w_v) @ weights.w_o)[assignment.indices]
 
 
-def full_attention(
-    segments: np.ndarray,
-    assignment: AssignmentMatrix,
-    protos_emb: np.ndarray,
-    weights: ProtoAttnWeights,
-) -> np.ndarray:
+def full_attention(segments: np.ndarray, weights: ProtoAttnWeights) -> np.ndarray:
     """Quadratic reference: per-segment self-attention, in which every
     segment queries with its own row,
     softmax((S w_e)(S w_k)^T / sqrt(d)) (S w_v) w_o.
 
     Plain numpy, independent of `bucket_contexts`: an (l, l) softmax over
-    the segments, then the value and output maps on all l rows, at O(l^2)
-    cost. The assignment and prototypes are only shape-checked. Where
-    every segment equals its assigned prototype this is proto_attention's
-    function; elsewhere the difference is the error of prototype queries.
+    the segments, then the value and output maps on all l rows, at
+    `count_flops_full(l, d)` cost. Where every segment equals its assigned
+    prototype this is proto_attention's function; elsewhere the difference
+    is the error of prototype queries.
     """
-    _check_inputs(segments, assignment, protos_emb, weights)
-    q_raw = (segments @ weights.w_e) @ weights.w_k.T  # (l, p_in)
+    _check_segments(segments, weights)
+    q_raw = (segments @ weights.w_e) @ weights.w_k.T  # (l, d)
     scores = (weights.scale * q_raw) @ segments.T  # (l, l)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
@@ -166,35 +151,15 @@ def kernel_flops_per_row(k: int, w: int) -> int:
     return 2 * k * w
 
 
-@dataclass(frozen=True)
-class FlopCount:
-    """Multiply-add counts per pipeline stage; total is affine in l."""
-
-    assignment: int
-    projections: int
-    attention: int
-
-    @property
-    def total(self) -> int:
-        return self.assignment + self.projections + self.attention
-
-
-def count_flops(l: int, k: int, d: int, p: int) -> FlopCount:
-    """Cost model for one prototype-attention pass over l segments.
-
-    assignment: composite distances of l raw length-p segments against k
-    raw prototypes. projections: the maps on k rows, the two query
-    products (P w_e) w_k^T and the value maps (C w_v) w_o, with the
-    segments embedded to p_in = d. attention: the kernel on l d-wide
-    segments. The gather copies rows and is not counted.
+def count_flops(l: int, k: int, d: int) -> int:
+    """Multiply-adds of one `proto_attention` call on l embedded segments:
+    the maps on k rows, the two query products (P w_e) w_k^T and the value
+    maps (C w_v) w_o, then the kernel on l d-wide segments. The assignment
+    is an input, and the gather copies rows; neither is counted.
     """
-    if min(l, k, d, p) < 0:
+    if min(l, k, d) < 0:
         raise ConfigError("flop counts need non-negative sizes")
-    return FlopCount(
-        assignment=2 * l * k * p + 2 * l * p,
-        projections=4 * k * d * d,
-        attention=l * kernel_flops_per_row(k, d),
-    )
+    return 4 * k * d * d + l * kernel_flops_per_row(k, d)
 
 
 def count_flops_full(l: int, d: int) -> int:

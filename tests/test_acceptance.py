@@ -105,8 +105,7 @@ def test_criterion_3_exact_oracle_equivalence():
         weights = ProtoAttnWeights(*(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)))
         diff = np.max(
             np.abs(
-                proto_attention(segs, a, protos_emb, weights)
-                - full_attention(segs, a, protos_emb, weights)
+                proto_attention(segs, a, protos_emb, weights) - full_attention(segs, weights)
             )
         )
         worst = max(worst, float(diff))
@@ -120,9 +119,9 @@ def test_criterion_4_linear_scaling():
     wall time scales ~linearly for the prototype kernel versus
     ~quadratically for the full-attention reference."""
     t0 = time.perf_counter()
-    k, d, p = 16, 64, 16
+    k, d = 16, 64
     ls = (256, 512, 1024)
-    f = [count_flops(l, k, d, p).total for l in ls]
+    f = [count_flops(l, k, d) for l in ls]
     # collinear <=> equal slopes between consecutive (l, flops) points;
     # cross-multiplied so the check is exact in integers
     cross = (f[2] - f[1]) * (ls[1] - ls[0]) - (f[1] - f[0]) * (ls[2] - ls[1])
@@ -134,7 +133,7 @@ def test_criterion_4_linear_scaling():
     # seen); the median over independent sweeps outvotes such a sweep.
     def slope(mode, sizes, sweeps):
         return float(np.median(
-            [scaling_sweep(mode, sizes, k=k, d=d, p=p).slopes[mode] for _ in range(sweeps)]
+            [scaling_sweep(mode, sizes, k=k, d=d).slopes[mode] for _ in range(sweeps)]
         ))
 
     proto_slope = slope("protoattn", (512, 1024, 2048, 4096), 5)

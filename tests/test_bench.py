@@ -5,6 +5,7 @@ import pytest
 
 from focus_forecast import bench
 from focus_forecast.bench import (
+    SWEEP_MODES,
     TIMED_REPS,
     WARMUP_REPS,
     count_forward_flops,
@@ -136,16 +137,22 @@ def test_scaling_sweep_validation():
         scaling_sweep("protoattn", (32, 16, 8))
     with pytest.raises(ConfigError):
         scaling_sweep("protoattn", (0, 16, 32))
+    with pytest.raises(ConfigError):  # a repeated size would pool two cases' timings
+        scaling_sweep("protoattn", (8, 8, 16))
+    for mode in SWEEP_MODES:
+        for k, d in ((0, 8), (4, 0)):
+            with pytest.raises(ConfigError):
+                scaling_sweep(mode, (8, 16, 32), k=k, d=d, p=4, m=2)
 
 
 def test_scaling_sweep_rows_and_csv():
     sizes = (8, 16, 32)
-    report = scaling_sweep("protoattn", sizes, k=4, d=8, p=4)
+    report = scaling_sweep("protoattn", sizes, k=4, d=8)
     assert tuple(r.size for r in report.rows) == sizes
     for row in report.rows:
         assert row.experiment == "protoattn"
         assert row.median_ns > 0
-        assert row.flops == count_flops(row.size, 4, 8, 4).total
+        assert row.flops == count_flops(row.size, 4, 8)
         assert row.peak_bytes > 0
     assert "protoattn" in report.slopes
 
@@ -160,7 +167,7 @@ def test_scaling_sweep_rows_and_csv():
 
 
 def test_scaling_sweep_full_attn_uses_quadratic_cost_model():
-    report = scaling_sweep("full_attn", (8, 16, 32), k=4, d=8, p=4)
+    report = scaling_sweep("full_attn", (8, 16, 32), k=4, d=8)
     for row in report.rows:
         assert row.flops == count_flops_full(row.size, 8)
 
@@ -184,7 +191,7 @@ def test_scaling_sweep_peaks_grow_linearly_for_prototypes_and_quadratically_for_
     sizes = (128, 256, 512)
 
     def peaks(mode):
-        return [row.peak_bytes for row in scaling_sweep(mode, sizes, k=4, d=8, p=4).rows]
+        return [row.peak_bytes for row in scaling_sweep(mode, sizes, k=4, d=8).rows]
 
     proto, full = peaks("protoattn"), peaks("full_attn")
     for small, large in zip(proto, proto[1:]):

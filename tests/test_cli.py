@@ -5,7 +5,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from focus_forecast.bench import SWEEP_MODES
 from focus_forecast.cli import main
 from focus_forecast.container import (
     load_model,
@@ -224,6 +227,63 @@ def test_bench_csv_and_bad_sizes(tmp_path):
                         "--config", str(cfg)])
     assert code == 1
     assert "warp" in err
+
+
+def test_bench_rejects_repeated_sizes_and_modes():
+    code, out, err = run(["bench", "--mode", "protoattn", "--sizes", "8,8,16"])
+    assert (code, out) == (1, "")
+    assert "ascending" in err
+    code, out, err = run(["bench", "--mode", "protoattn,full_attn,protoattn", "--sizes", "8,16,32"])
+    assert (code, out) == (1, "")
+    assert "'protoattn'" in err
+
+
+@pytest.mark.parametrize("p", ["0", "-3", "1"])
+def test_synth_rejects_template_length_below_two(tmp_path, p):
+    out = tmp_path / "s.csv"
+    code, _, err = run(["synth", "--out", str(out), "--entities", "2", "--steps", "100",
+                        "--k-true", "2", "--sigma", "0.1", "--p", p, "--seed", "0"])
+    assert code == 1
+    assert "template length" in err
+    assert not out.exists()
+
+
+# Flag fuzzing: any value of a size flag or geometry key ends in exit 0 or a
+# validation failure, never an escaping exception. Sizes are sorted so that
+# most draws reach the sweep; unsorted ones are rejected before it.
+FLAG_FUZZ = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+GEOMETRY = st.integers(-1, 4)
+
+
+@FLAG_FUZZ
+@given(
+    modes=st.lists(st.sampled_from(SWEEP_MODES), min_size=1, max_size=3),
+    sizes=st.lists(st.integers(-1, 8), min_size=2, max_size=4).map(sorted),
+    k=GEOMETRY, d=GEOMETRY, p=GEOMETRY, m=GEOMETRY,
+)
+@example(modes=["protoattn"], sizes=[1, 2, 3], k=2, d=0, p=2, m=1)
+@example(modes=["full_attn"], sizes=[1, 2, 3], k=2, d=0, p=2, m=1)
+def test_bench_flags_exit_0_or_1(tmp_path, modes, sizes, k, d, p, m):
+    cfg = tmp_path / "fuzz.cfg"
+    cfg.write_text(f"k={k}\nd={d}\np={p}\nm={m}\n")
+    code, _, _ = run(["bench", "--mode", ",".join(modes),
+                      "--sizes", ",".join(map(str, sizes)), "--config", str(cfg)])
+    assert code in (0, 1)
+
+
+@FLAG_FUZZ
+@given(p=st.integers(-2, 4))
+@example(p=0)
+@example(p=-2)
+def test_synth_flags_exit_0_or_1(tmp_path, p):
+    code, _, _ = run(["synth", "--out", str(tmp_path / "fuzz.csv"), "--entities", "2",
+                      "--steps", "40", "--k-true", "2", "--sigma", "0.1", "--p", str(p),
+                      "--seed", "0"])
+    assert code in (0, 1)
 
 
 def test_cluster_rejects_nan_split_fraction(pipeline, tmp_path):

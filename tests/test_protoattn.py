@@ -7,7 +7,6 @@ from focus_forecast.clustering import PrototypeSet
 from focus_forecast.errors import ConfigError, ShapeError
 from focus_forecast.protoattn import (
     AssignmentMatrix,
-    FlopCount,
     ProtoAttnWeights,
     build_assignment,
     count_flops,
@@ -17,14 +16,8 @@ from focus_forecast.protoattn import (
 )
 
 
-def rand_weights(rng, p_in, d):
-    s = 1.0 / np.sqrt(d)
-    return ProtoAttnWeights(
-        w_e=rng.standard_normal((p_in, d)) * s,
-        w_k=rng.standard_normal((p_in, d)) * s,
-        w_v=rng.standard_normal((p_in, d)) * s,
-        w_o=rng.standard_normal((d, d)) * s,
-    )
+def rand_weights(rng, d):
+    return ProtoAttnWeights(*(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)))
 
 
 # ------------------------------------------------------------- assignment
@@ -83,7 +76,7 @@ def _kernel_case(rng, l=12, k=4, d=8):
     segs = rng.standard_normal((l, d))
     protos_emb = rng.standard_normal((k, d))
     idx = rng.integers(k, size=l)
-    return segs, AssignmentMatrix(indices=idx, k=k), protos_emb, rand_weights(rng, d, d)
+    return segs, AssignmentMatrix(indices=idx, k=k), protos_emb, rand_weights(rng, d)
 
 
 def _textbook_attention(queries, segs, w):
@@ -101,7 +94,7 @@ def test_matches_textbook_attention_with_per_segment_projections():
     proto_ref = _textbook_attention((protos_emb @ w.w_e)[a.indices], segs, w)
     full_ref = _textbook_attention(segs @ w.w_e, segs, w)
     np.testing.assert_allclose(proto_attention(segs, a, protos_emb, w), proto_ref, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(full_attention(segs, a, protos_emb, w), full_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(full_attention(segs, w), full_ref, rtol=1e-12, atol=1e-12)
 
 
 def test_full_attention_differs_from_prototype_queries_off_the_prototypes():
@@ -111,7 +104,7 @@ def test_full_attention_differs_from_prototype_queries_off_the_prototypes():
     gaps = []
     for _ in range(20):
         segs, a, protos_emb, w = _kernel_case(rng)
-        gap = proto_attention(segs, a, protos_emb, w) - full_attention(segs, a, protos_emb, w)
+        gap = proto_attention(segs, a, protos_emb, w) - full_attention(segs, w)
         gaps.append(np.max(np.abs(gap)))
     assert min(gaps) > 1e-3, gaps
 
@@ -124,9 +117,9 @@ def test_matches_full_attention_on_prototype_valued_inputs():
         idx = rng.integers(k, size=10)
         segs = protos_emb[idx]  # each row IS its assigned prototype
         a = AssignmentMatrix(indices=idx, k=k)
-        w = rand_weights(rng, d, d)
+        w = rand_weights(rng, d)
         got = proto_attention(segs, a, protos_emb, w)
-        ref = full_attention(segs, a, protos_emb, w)
+        ref = full_attention(segs, w)
         assert np.max(np.abs(got - ref)) <= 1e-6
 
 
@@ -145,7 +138,7 @@ def test_single_prototype_collapses_to_one_distribution():
     segs = rng.standard_normal((9, 6))
     a = AssignmentMatrix(indices=np.zeros(9, dtype=np.int64), k=1)
     protos_emb = rng.standard_normal((1, 6))
-    out = proto_attention(segs, a, protos_emb, rand_weights(rng, 6, 6))
+    out = proto_attention(segs, a, protos_emb, rand_weights(rng, 6))
     np.testing.assert_array_equal(out, np.tile(out[0], (9, 1)))
 
 
@@ -179,15 +172,19 @@ def test_kernel_rejects_mismatched_shapes():
         proto_attention(segs, a, protos_emb[:, :4], w)
     with pytest.raises(ShapeError):
         proto_attention(segs, AssignmentMatrix(indices=a.indices[:-1], k=a.k), protos_emb, w)
+    with pytest.raises(ShapeError):
+        full_attention(segs[:, :4], w)
 
 
 def test_weights_validation():
     rng = np.random.default_rng(8)
-    good = rand_weights(rng, 6, 4)
-    assert good.p_in == 6 and good.d == 4
+    good = rand_weights(rng, 4)
+    assert good.d == 4
     assert good.scale == pytest.approx(0.5)
+    with pytest.raises(ShapeError):  # every map is square
+        ProtoAttnWeights(np.zeros((6, 4)), np.zeros((6, 4)), np.zeros((6, 4)), good.w_o)
     with pytest.raises(ShapeError):
-        ProtoAttnWeights(good.w_e, good.w_k[:5], good.w_v, good.w_o)
+        ProtoAttnWeights(good.w_e, good.w_k[:3], good.w_v, good.w_o)
     with pytest.raises(ShapeError):
         ProtoAttnWeights(good.w_e, good.w_k, good.w_v, np.zeros((4, 5)))
 
@@ -195,25 +192,23 @@ def test_weights_validation():
 # ------------------------------------------------------------- cost model
 
 
-def test_flop_fields_sum_to_total():
-    # l=128, k=8, d=32, p=16:
-    # assignment 2*l*k*p + 2*l*p = 32768 + 4096 = 36864
-    # projections, all on k rows: P w_e, then w_k^T, C w_v, then w_o, 4*k*d^2 = 32768
-    # attention: kernel_flops_per_row(k, d) = 2*k*d = 512 per segment, times l = 65536
-    c = count_flops(128, 8, 32, 16)
-    assert (c.assignment, c.projections, c.attention) == (36864, 32768, 65536)
-    assert c.total == c.assignment + c.projections + c.attention == 135168
+def test_flop_count_is_projections_plus_kernel():
+    # l=128, k=8, d=32: the four maps on k rows (P w_e, then w_k^T, C w_v,
+    # then w_o), 4*k*d^2 = 32768, plus kernel_flops_per_row(k, d) = 2*k*d
+    # = 512 per segment, times l = 65536; no assignment stage
+    assert count_flops(128, 8, 32) == 32768 + 65536
+    # `focus bench` defaults at l=256
+    assert count_flops(256, 16, 64) == 786432
 
 
 def test_flop_count_at_zero_segments_keeps_prototype_embedding():
     # with no segments only the four (k, d) x (d, d) products remain, 4*k*d^2
-    c = count_flops(0, 8, 32, 16)
-    assert c.total == 4 * 8 * 32 * 32
+    assert count_flops(0, 8, 32) == 4 * 8 * 32 * 32
 
 
 def test_flop_total_is_affine_in_l():
-    k, d, p = 8, 32, 16
-    f = [count_flops(l, k, d, p).total for l in (64, 128, 192)]
+    k, d = 8, 32
+    f = [count_flops(l, k, d) for l in (64, 128, 192)]
     assert f[2] - f[1] == f[1] - f[0]  # exact integers
 
 
@@ -230,13 +225,7 @@ def test_full_attention_quadratic_stage_ratio():
 
 def test_flop_validation():
     with pytest.raises(ConfigError):
-        count_flops(-1, 8, 32, 16)
+        count_flops(-1, 8, 32)
     with pytest.raises(ConfigError):
         count_flops_full(-1, 32)
 
-
-def test_flop_count_is_frozen_value_type():
-    c = count_flops(16, 2, 4, 8)
-    assert c == FlopCount(c.assignment, c.projections, c.attention)
-    with pytest.raises(AttributeError):
-        c.total = 0
