@@ -26,12 +26,11 @@ try:
 except ImportError:  # optional extra; OpenBLAS is then pinned through ctypes
     threadpool_limits = None
 
-from .clustering import PrototypeSet, _assign_arr, fit, pearson_corr
+from .clustering import PrototypeSet, fit, nearest, pearson_corr
 from .data import SegmentMatrix, TimeSeriesDataset, segment
 from .errors import ConfigError
 from .model import HyperParams, init_params, predict
 from .protoattn import (
-    AssignmentMatrix,
     ProtoAttnWeights,
     count_flops,
     count_flops_full,
@@ -229,9 +228,9 @@ def scaling_sweep(
         weights = ProtoAttnWeights(*(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)))
         if mode == "protoattn":
             # the kernel's cost does not depend on bucket occupancy
-            assignment = AssignmentMatrix(indices=rng.integers(k, size=l), k=k)
+            indices = rng.integers(k, size=l)
             protos_emb = rng.standard_normal((k, d))
-            fn = functools.partial(proto_attention, segments, assignment, protos_emb, weights)
+            fn = functools.partial(proto_attention, segments, indices, protos_emb, weights)
             cases.append((l, fn, count_flops(l, k, d)))
         else:
             fn = functools.partial(full_attention, segments, weights)
@@ -262,8 +261,7 @@ def lowrank_error(segments: np.ndarray, protos: PrototypeSet, w: np.ndarray) -> 
     assigned prototype row.
     """
     segments = np.asarray(segments, dtype=np.float64)
-    idx = _assign_arr(segments, protos.prototypes, protos.alpha).assignment
-    approx = protos.prototypes[idx] @ w
+    approx = protos.prototypes[nearest(segments, protos)] @ w
     exact = segments @ w
     denom = float(np.linalg.norm(exact))
     err = float(np.linalg.norm(approx - exact))

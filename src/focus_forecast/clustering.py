@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SegmentMatrix
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, ShapeError
 from .optim import AdamW, OptimizerConfig
 from .util import seed_stream
 
@@ -125,24 +125,28 @@ def distance_matrix(segments: np.ndarray, protos: np.ndarray, alpha: float) -> n
     return _distances(segments, _sq_norms(segments), _center_unit(segments), protos, alpha)
 
 
-def _nearest(
-    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray, alpha: float
-) -> BucketState:
-    d = _distances(segments, sq, unit, protos, alpha)
-    idx = np.argmin(d, axis=1)  # argmin takes the lowest index on ties
-    sizes = np.bincount(idx, minlength=protos.shape[0]).astype(np.int64)
-    return BucketState(assignment=idx.astype(np.int64), bucket_sizes=sizes)
+def _closest(d: np.ndarray) -> np.ndarray:
+    return np.argmin(d, axis=-1).astype(np.int64)  # argmin takes the lowest index on ties
 
 
-def _assign_arr(segments: np.ndarray, protos: np.ndarray, alpha: float) -> BucketState:
-    return _nearest(segments, _sq_norms(segments), _center_unit(segments), protos, alpha)
+def _sizes(idx: np.ndarray, k: int) -> np.ndarray:
+    return np.bincount(idx, minlength=k).astype(np.int64)
+
+
+def nearest(segments: np.ndarray, protos: PrototypeSet) -> np.ndarray:
+    """Index of each (..., p) segment's nearest prototype under the
+    composite metric, (...) int64; the lowest index wins ties."""
+    segments = np.asarray(segments, dtype=np.float64)
+    if segments.shape[-1:] != (protos.p,):
+        raise ShapeError(f"segments must be (..., {protos.p}), got {segments.shape}")
+    d = distance_matrix(segments.reshape(-1, protos.p), protos.prototypes, protos.alpha)
+    return _closest(d).reshape(segments.shape[:-1])
 
 
 def assign(segments: SegmentMatrix, protos: PrototypeSet) -> BucketState:
     """Map every segment to its nearest prototype under the composite metric."""
-    if segments.p != protos.p:
-        raise ConfigError(f"segment length {segments.p} != prototype length {protos.p}")
-    return _assign_arr(segments.segments, protos.prototypes, protos.alpha)
+    idx = nearest(segments.segments, protos)
+    return BucketState(assignment=idx, bucket_sizes=_sizes(idx, protos.k))
 
 
 def _bucket_stats(segments: np.ndarray, unit: np.ndarray, idx: np.ndarray, k: int):
@@ -152,7 +156,7 @@ def _bucket_stats(segments: np.ndarray, unit: np.ndarray, idx: np.ndarray, k: in
     rows in segment order: the same additions as np.add.at, far cheaper.
     """
     p = segments.shape[1]
-    counts = np.bincount(idx, minlength=k).astype(np.float64)
+    counts = _sizes(idx, k).astype(np.float64)
     bins = (idx[:, None] * p + np.arange(p)).ravel()
     sums = np.bincount(bins, weights=segments.ravel(), minlength=k * p).reshape(k, p)
     unit_sums = np.bincount(bins, weights=unit.ravel(), minlength=k * p).reshape(k, p)
@@ -242,19 +246,20 @@ def _init_prototypes(
 
 def _repair_empty(
     segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray,
-    alpha: float, state: BucketState,
-) -> tuple[np.ndarray, BucketState]:
-    """Re-seed empty buckets to the segments farthest from their prototype."""
-    empties = np.flatnonzero(state.bucket_sizes == 0)
+    alpha: float, d: np.ndarray, idx: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re-seed empty buckets to the segments farthest from their prototype.
+
+    d is the (n, k) distance matrix idx was taken from.
+    """
+    empties = np.flatnonzero(_sizes(idx, protos.shape[0]) == 0)
     if empties.size == 0:
-        return protos, state
-    d = _distances(segments, sq, unit, protos, alpha)
-    own = d[np.arange(d.shape[0]), state.assignment]
+        return protos, idx
+    own = d[np.arange(d.shape[0]), idx]
     order = np.argsort(-own, kind="stable")
     protos = protos.copy()
-    for j, seg_i in zip(empties, order):
-        protos[j] = segments[seg_i]
-    return protos, _nearest(segments, sq, unit, protos, alpha)
+    protos[empties] = segments[order[: empties.size]]
+    return protos, _closest(_distances(segments, sq, unit, protos, alpha))
 
 
 def fit(
@@ -283,6 +288,8 @@ def fit(
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
     if np.isnan(tol):  # it would fail every stop test and run all max_iters; -inf is valid
         raise ConfigError("tol must not be NaN")
+    if max_iters < 0:
+        raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
     opt = opt if opt is not None else CLUSTER_OPT_DEFAULTS
     sq, unit = _sq_norms(segs), _center_unit(segs)
     rng = seed_stream(seed, "init")
@@ -295,9 +302,9 @@ def fit(
     iters = 0
     for it in range(max_iters):
         iters = it + 1
-        state = _nearest(segs, sq, unit, protos, alpha)
-        protos, state = _repair_empty(segs, sq, unit, protos, alpha, state)
-        stats = _bucket_stats(segs, unit, state.assignment, k)
+        d = _distances(segs, sq, unit, protos, alpha)
+        protos, idx = _repair_empty(segs, sq, unit, protos, alpha, d, _closest(d))
+        stats = _bucket_stats(segs, unit, idx, k)
         total = _loss(stats, protos, alpha)[0]
         losses.append(total)
         if total < best_loss:
@@ -309,8 +316,8 @@ def fit(
                 break
         adam.step({"prototypes": protos}, {"prototypes": _loss_grad(stats, protos, alpha)})
 
-    state = _nearest(segs, sq, unit, protos, alpha)
-    total = _loss(_bucket_stats(segs, unit, state.assignment, k), protos, alpha)[0]
+    idx = _closest(_distances(segs, sq, unit, protos, alpha))
+    total = _loss(_bucket_stats(segs, unit, idx, k), protos, alpha)[0]
     if total < best_loss:
         best_loss = total
         best = protos.copy()

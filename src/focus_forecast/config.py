@@ -117,4 +117,6 @@ def resolve_config(
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg = replace(cfg, **overrides)
+    if not -(2**63) <= cfg.seed < 2**63:  # seeds are stored as int64
+        raise ConfigError(f"seed must be in [-2**63, 2**63), got {cfg.seed}")
     return cfg

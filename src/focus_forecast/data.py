@@ -226,9 +226,9 @@ def make_windows(
     """The strided (lookback, target) windows inside one partition, as views.
 
     No window crosses a split boundary: both the lookback and target lie
-    entirely in the requested partition. Window i starts at the
-    partition's first row plus i * stride. Memory is O(1) in the window
-    count: nothing is copied.
+    entirely in the requested partition, which must hold at least one
+    window. Window i starts at the partition's first row plus i * stride.
+    Memory is O(1) in the window count: nothing is copied.
     """
     if ds.split is None:
         raise ConfigError("dataset has no split; call split_and_normalize first")
@@ -244,10 +244,12 @@ def make_windows(
         raise ConfigError(f"window stride must be >= 1, got {stride}")
     start, end = bounds[partition]
     span = lookback + horizon
-    if end - start < span:  # sliding_window_view rejects a window longer than its input
-        spans = np.empty((0, ds.n_entities, span))
-    else:
-        spans = np.lib.stride_tricks.sliding_window_view(ds.values[start:end], span, axis=0)
+    if end - start < span:
+        raise ConfigError(
+            f"{partition} partition has {end - start} rows, too few for one window of "
+            f"lookback {lookback} + horizon {horizon}"
+        )
+    spans = np.lib.stride_tricks.sliding_window_view(ds.values[start:end], span, axis=0)
     spans = spans[::stride].transpose(0, 2, 1)  # (n, span, N)
     return Windows(x=spans[:, :lookback], y=spans[:, lookback:])
 

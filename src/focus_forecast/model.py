@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clustering import PrototypeSet, _assign_arr
+from .clustering import PrototypeSet, nearest
 from .errors import ConfigError, ShapeError
 from .protoattn import bucket_contexts
 from .util import require_finite, seed_stream
@@ -160,9 +160,7 @@ def _segment(params: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x = _check_input(params, x)
     h = params.hyper
     raw = x.transpose(0, 2, 1).reshape(x.shape[0], h.n_entities, h.l, h.p)
-    protos = params.protos
-    idx = _assign_arr(raw.reshape(-1, h.p), protos.prototypes, protos.alpha).assignment
-    return raw, idx.reshape(raw.shape[:-1])
+    return raw, nearest(raw, params.protos)
 
 
 @dataclass(frozen=True, eq=False)

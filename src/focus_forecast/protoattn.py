@@ -22,26 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clustering import PrototypeSet, _assign_arr
+from .clustering import PrototypeSet, nearest
 from .errors import ConfigError, NumericalError, ShapeError
-
-
-@dataclass(frozen=True)
-class AssignmentMatrix:
-    """One-hot segment-to-prototype map, stored as indices."""
-
-    indices: np.ndarray  # (l,) int64
-    k: int
-
-    def __post_init__(self):
-        if self.indices.ndim != 1:
-            raise ShapeError("assignment indices must be 1-D")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.k):
-            raise ConfigError(f"assignment indices out of range [0, {self.k})")
-
-    @property
-    def l(self) -> int:
-        return self.indices.shape[0]
 
 
 @dataclass(frozen=True)
@@ -71,13 +53,11 @@ class ProtoAttnWeights:
         return 1.0 / float(np.sqrt(self.d))
 
 
-def build_assignment(segments: np.ndarray, protos: PrototypeSet) -> AssignmentMatrix:
-    """Assign raw length-p segments to prototypes under the composite metric."""
-    segments = np.asarray(segments, dtype=np.float64)
-    if segments.ndim != 2 or segments.shape[1] != protos.p:
-        raise ShapeError(f"segments must be (l, {protos.p}), got {segments.shape}")
-    state = _assign_arr(segments, protos.prototypes, protos.alpha)
-    return AssignmentMatrix(indices=state.assignment, k=protos.k)
+def build_assignment(segments: np.ndarray, protos: PrototypeSet) -> np.ndarray:
+    """Each of l raw length-p segments' nearest prototype, (l,) int64."""
+    if np.ndim(segments) != 2:
+        raise ShapeError(f"segments must be (l, {protos.p}), got {np.shape(segments)}")
+    return nearest(segments, protos)
 
 
 def bucket_contexts(q_raw: Tensor, raw: np.ndarray, scale: float) -> Tensor:
@@ -100,30 +80,32 @@ def _check_segments(segments, weights):
 
 def proto_attention(
     segments: np.ndarray,
-    assignment: AssignmentMatrix,
+    indices: np.ndarray,
     protos_emb: np.ndarray,
     weights: ProtoAttnWeights,
 ) -> np.ndarray:
     """Attend once per prototype over the window, then gather per segment.
 
-    segments and protos_emb are embedded, (l, d) / (k, d).
+    segments and protos_emb are embedded, (l, d) / (k, d); indices (l,)
+    holds each segment's prototype row in [0, k).
     Scores (P w_e)(S w_k)^T equal q_raw S^T with q_raw = (P w_e) w_k^T,
     so `bucket_contexts` runs on the segments themselves, and the value
     and output maps run on its k rows before the gather. Cost is
     `count_flops(l, k, d)`; returns (l, d).
     """
     _check_segments(segments, weights)
-    if protos_emb.shape != (assignment.k, weights.d):
+    if protos_emb.ndim != 2 or protos_emb.shape[1] != weights.d:
+        raise ShapeError(f"embedded prototypes must be (k, {weights.d}), got {protos_emb.shape}")
+    k = protos_emb.shape[0]
+    if indices.shape != segments.shape[:1]:
         raise ShapeError(
-            f"embedded prototypes must be ({assignment.k}, {weights.d}), got {protos_emb.shape}"
+            f"need one prototype index per segment ({segments.shape[0]}), got {indices.shape}"
         )
-    if assignment.l != segments.shape[0]:
-        raise ShapeError(
-            f"assignment covers {assignment.l} segments, input has {segments.shape[0]}"
-        )
+    if indices.size and (indices.min() < 0 or indices.max() >= k):
+        raise ConfigError(f"prototype indices out of range [0, {k})")
     q_raw = (protos_emb @ weights.w_e) @ weights.w_k.T  # (k, d)
     contexts = bucket_contexts(ad.constant(q_raw), segments, weights.scale).data
-    return ((contexts @ weights.w_v) @ weights.w_o)[assignment.indices]
+    return ((contexts @ weights.w_v) @ weights.w_o)[indices]
 
 
 def full_attention(segments: np.ndarray, weights: ProtoAttnWeights) -> np.ndarray:

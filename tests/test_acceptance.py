@@ -30,7 +30,6 @@ from focus_forecast.data import (
 from focus_forecast.model import HyperParams, init_params
 from focus_forecast.optim import OptimizerConfig
 from focus_forecast.protoattn import (
-    AssignmentMatrix,
     ProtoAttnWeights,
     count_flops,
     full_attention,
@@ -78,7 +77,7 @@ def test_criterion_2_bucket_row_equality():
         protos_emb = rng.standard_normal((k, d))
         idx = rng.integers(k, size=l)
         weights = ProtoAttnWeights(*(rng.standard_normal((d, d)) for _ in range(4)))
-        out = proto_attention(segs, AssignmentMatrix(indices=idx, k=k), protos_emb, weights)
+        out = proto_attention(segs, idx, protos_emb, weights)
         for b in range(k):
             rows = out[idx == b]
             if rows.shape[0] > 1 and not np.all(rows == rows[0]):
@@ -101,11 +100,10 @@ def test_criterion_3_exact_oracle_equivalence():
         protos_emb = rng.standard_normal((k, d))
         idx = rng.integers(k, size=l)
         segs = protos_emb[idx]
-        a = AssignmentMatrix(indices=idx, k=k)
         weights = ProtoAttnWeights(*(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)))
         diff = np.max(
             np.abs(
-                proto_attention(segs, a, protos_emb, weights) - full_attention(segs, weights)
+                proto_attention(segs, idx, protos_emb, weights) - full_attention(segs, weights)
             )
         )
         worst = max(worst, float(diff))

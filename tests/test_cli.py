@@ -126,6 +126,17 @@ def test_eval_val_split_runs(pipeline):
     assert kv(out)["windows"] == "1"
 
 
+def test_eval_rejects_a_partition_too_short_for_one_window(pipeline, tmp_path):
+    # 50 steps leave the test partition 10 rows, short of lookback 32 + horizon 8
+    short = str(tmp_path / "short.csv")
+    assert run(["synth", "--out", short, "--entities", "3", "--steps", "50",
+                "--k-true", "2", "--sigma", "0.1", "--p", "8", "--seed", "1"])[0] == 0
+    code, out, err = run(["eval", "--data", short, "--model", pipeline["model"],
+                          "--split", "test"])
+    assert (code, out) == (1, "")
+    assert "test partition has 10 rows" in err
+
+
 def test_forecast_writes_horizon_rows(pipeline):
     out_csv = str(pipeline["root"] / "fc.csv")
     code, out, _ = run(
@@ -276,14 +287,50 @@ def test_bench_flags_exit_0_or_1(tmp_path, modes, sizes, k, d, p, m):
 
 
 @FLAG_FUZZ
-@given(p=st.integers(-2, 4))
-@example(p=0)
-@example(p=-2)
-def test_synth_flags_exit_0_or_1(tmp_path, p):
+@given(p=st.integers(-2, 4), seed=st.integers(-(2**64), 2**64))
+@example(p=0, seed=0)
+@example(p=-2, seed=0)
+@example(p=4, seed=2**63)  # the first seed an int64 cannot hold
+@example(p=4, seed=-(2**63) - 1)
+def test_synth_flags_exit_0_or_1(tmp_path, p, seed):
     code, _, _ = run(["synth", "--out", str(tmp_path / "fuzz.csv"), "--entities", "2",
                       "--steps", "40", "--k-true", "2", "--sigma", "0.1", "--p", str(p),
-                      "--seed", "0"])
+                      "--seed", str(seed)])
     assert code in (0, 1)
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**63, -(2**63) - 1])
+def test_synth_rejects_seed_outside_int64(tmp_path, seed):
+    out = tmp_path / "s.csv"
+    code, _, err = run(["synth", "--out", str(out), "--entities", "2", "--steps", "100",
+                        "--k-true", "2", "--sigma", "0.1", "--seed", str(seed)])
+    assert code == 1
+    assert "seed" in err
+    assert list(tmp_path.iterdir()) == []  # neither the CSV nor its templates sidecar
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cluster_rejects_seed_outside_int64(pipeline, tmp_path, via):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed={2**63}\n" if via == "config" else "")
+    out = tmp_path / "p.bin"
+    extra = ["--seed", str(2**63)] if via == "flag" else []
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--out", str(out), "--config", str(cfg), *extra])
+    assert code == 1
+    assert "seed" in err
+    assert not out.exists()
+
+
+def test_cluster_rejects_negative_max_iters(pipeline, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cluster_max_iters=-5\n")
+    out = tmp_path / "p.bin"
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--out", str(out), "--config", str(cfg)])
+    assert code == 1
+    assert "max_iters" in err
+    assert not out.exists()
 
 
 def test_cluster_rejects_nan_split_fraction(pipeline, tmp_path):

@@ -19,11 +19,13 @@ from focus_forecast.clustering import (
     distance,
     distance_matrix,
     fit,
+    nearest,
     pearson_corr,
 )
 from focus_forecast.data import generate_synthetic, segment
-from focus_forecast.errors import ConfigError
+from focus_forecast.errors import ConfigError, ShapeError
 from focus_forecast.optim import AdamW
+from focus_forecast.protoattn import build_assignment
 
 from conftest import make_segments
 
@@ -119,10 +121,15 @@ def test_assignment_tie_breaks_to_lowest_index():
     assert state.assignment.tolist() == [0]
 
 
-def test_assignment_rejects_length_mismatch():
+@pytest.mark.parametrize(
+    "assigner",
+    [nearest, lambda segs, protos: assign(make_segments(segs), protos), build_assignment],
+    ids=["nearest", "assign", "build_assignment"],
+)
+def test_assignment_rejects_length_mismatch(assigner):
     protos = PrototypeSet(np.zeros((2, 4)), alpha=0.0)
-    with pytest.raises(ConfigError):
-        assign(make_segments(np.zeros((3, 5))), protos)
+    with pytest.raises(ShapeError):
+        assigner(np.zeros((3, 5)), protos)
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,6 +143,8 @@ def test_assignment_is_optimal(seed, k, alpha):
     chosen = d[np.arange(10), state.assignment]
     assert np.all(chosen <= d.min(axis=1) + 1e-9)
     assert state.bucket_sizes.sum() == 10
+    # any leading axes: each (p,) row maps as it does in the flat matrix
+    np.testing.assert_array_equal(nearest(segs.reshape(2, 5, 4), protos), state.assignment.reshape(2, 5))
 
 
 # ------------------------------------------------------------------ loss
@@ -320,6 +329,13 @@ def test_fit_rejects_nan_tol_and_accepts_minus_inf():
     with pytest.raises(ConfigError, match="tol"):
         fit(segs, 2, 0.2, max_iters=30, tol=float("nan"))
     assert fit(segs, 2, 0.2, max_iters=30, tol=-np.inf).fit_meta.iterations == 30
+
+
+def test_fit_rejects_negative_max_iters_and_accepts_zero():
+    segs = make_segments(np.random.default_rng(3).standard_normal((20, 4)))
+    with pytest.raises(ConfigError, match="max_iters"):
+        fit(segs, 2, 0.2, max_iters=-5)
+    assert fit(segs, 2, 0.2, max_iters=0).fit_meta.iterations == 0
 
 
 def test_fit_handles_duplicate_heavy_input():

@@ -263,11 +263,11 @@ def test_windows_are_read_only_views_of_the_series():
             arr[0, 0, 0] = 1.0
 
 
-def test_windows_of_a_short_partition_are_empty():
+def test_windows_of_a_short_partition_raise():
     ds = _split_ds()  # val holds 10 rows
-    windows = make_windows(ds, 8, 3, "val")
-    assert len(windows) == 0
-    assert windows.x.shape == (0, 8, 2) and windows.y.shape == (0, 3, 2)
+    with pytest.raises(ConfigError, match="val partition has 10 rows.*lookback 8 \\+ horizon 3"):
+        make_windows(ds, 8, 3, "val")
+    assert len(make_windows(ds, 8, 2, "val")) == 1  # one window fits exactly
 
 
 def test_windows_require_split_and_known_partition():

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from focus_forecast import clustering, protoattn
+from focus_forecast import protoattn
 from focus_forecast import model as model_module
 from focus_forecast.autodiff import Tensor, no_grad
 from focus_forecast.bench import traced_peak_bytes
-from focus_forecast.clustering import PrototypeSet, _assign_arr
+from focus_forecast.clustering import PrototypeSet, nearest
 from focus_forecast.errors import ConfigError, NumericalError, ShapeError
 from focus_forecast.model import (
     HyperParams,
@@ -171,14 +171,14 @@ def test_branch_feature_shapes():
 def test_forward_assigns_segments_once(monkeypatch):
     calls = []
 
-    def counting(*args):
-        calls.append(args[0].shape)
-        return clustering._assign_arr(*args)
+    def counting(segments, protos):
+        calls.append(segments.shape)
+        return nearest(segments, protos)
 
-    monkeypatch.setattr(model_module, "_assign_arr", counting)
+    monkeypatch.setattr(model_module, "nearest", counting)
     x = np.random.default_rng(12).standard_normal((2, HYPER.lookback, HYPER.n_entities))
     forward(make_params(), x)
-    assert calls == [(2 * HYPER.n_entities * HYPER.l, HYPER.p)]
+    assert calls == [(2, HYPER.n_entities, HYPER.l, HYPER.p)]
 
 
 def test_forward_and_proto_attention_run_the_one_kernel(monkeypatch):
@@ -199,8 +199,8 @@ def test_forward_and_proto_attention_run_the_one_kernel(monkeypatch):
     calls.clear()
     rng = np.random.default_rng(15)
     w = protoattn.ProtoAttnWeights(*(rng.standard_normal((4, 4)) for _ in range(4)))
-    a = protoattn.AssignmentMatrix(indices=rng.integers(3, size=6), k=3)
-    protoattn.proto_attention(rng.standard_normal((6, 4)), a, rng.standard_normal((3, 4)), w)
+    idx = rng.integers(3, size=6)
+    protoattn.proto_attention(rng.standard_normal((6, 4)), idx, rng.standard_normal((3, 4)), w)
     assert calls == [(6, 4)]
 
 
@@ -241,9 +241,7 @@ def _np_softmax(x):
 
 
 def _np_branch(w, protos, raw, prefix):
-    flat = raw.reshape(-1, protos.p)
-    idx = _assign_arr(flat, protos.prototypes, protos.alpha).assignment
-    idx = idx.reshape(raw.shape[:-1])
+    idx = nearest(raw, protos)
     emb = raw @ w["w_in"]
     pe = protos.prototypes @ w["w_in"]
     scores = (pe @ w[f"{prefix}_we"]) @ np.swapaxes(emb @ w[f"{prefix}_wk"], -1, -2)

@@ -6,7 +6,6 @@ import pytest
 from focus_forecast.clustering import PrototypeSet
 from focus_forecast.errors import ConfigError, ShapeError
 from focus_forecast.protoattn import (
-    AssignmentMatrix,
     ProtoAttnWeights,
     build_assignment,
     count_flops,
@@ -23,50 +22,13 @@ def rand_weights(rng, d):
 # ------------------------------------------------------------- assignment
 
 
-def test_assignment_matrix_one_hot():
-    a = AssignmentMatrix(indices=np.array([2, 0, 2]), k=3)
-    assert a.l == 3
-    # column sums of the one-hot map: bucket 1 stays empty
-    np.testing.assert_array_equal(np.bincount(a.indices, minlength=a.k), [1, 0, 2])
-
-
-def test_assignment_matrix_validation():
-    with pytest.raises(ConfigError):
-        AssignmentMatrix(indices=np.array([0, 3]), k=3)
-    with pytest.raises(ConfigError):
-        AssignmentMatrix(indices=np.array([-1]), k=3)
-    with pytest.raises(ShapeError):
-        AssignmentMatrix(indices=np.zeros((2, 2), dtype=np.int64), k=3)
-
-
-def test_build_assignment_on_prototype_rows_is_identity():
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((5, 8))
-    protos = PrototypeSet(rows.copy(), alpha=0.2)
-    a = build_assignment(rows, protos)
-    np.testing.assert_array_equal(a.indices, np.arange(5))
-
-
-def test_build_assignment_prefers_correlated_prototype():
-    protos = PrototypeSet(np.array([[7.0, 10.0, 13.0], [11.0, 10.0, 9.0]]), alpha=0.2)
-    a = build_assignment(np.array([[9.0, 10.0, 11.0]]), protos)
-    assert a.indices.tolist() == [0]
-
-
 def test_build_assignment_equal_segments_fill_one_column():
     rng = np.random.default_rng(1)
     protos = PrototypeSet(rng.standard_normal((4, 6)), alpha=0.2)
     seg = rng.standard_normal(6)
-    a = build_assignment(np.tile(seg, (7, 1)), protos)
-    assert len(set(a.indices.tolist())) == 1
-    col = np.bincount(a.indices, minlength=a.k)
-    assert col.max() == 7 and col.sum() == 7
-
-
-def test_build_assignment_rejects_wrong_length():
-    protos = PrototypeSet(np.zeros((2, 4)), alpha=0.0)
-    with pytest.raises(ShapeError):
-        build_assignment(np.zeros((3, 5)), protos)
+    idx = build_assignment(np.tile(seg, (7, 1)), protos)
+    assert idx.shape == (7,) and idx.dtype == np.int64
+    assert len(set(idx.tolist())) == 1
 
 
 # ----------------------------------------------------------------- kernel
@@ -76,7 +38,7 @@ def _kernel_case(rng, l=12, k=4, d=8):
     segs = rng.standard_normal((l, d))
     protos_emb = rng.standard_normal((k, d))
     idx = rng.integers(k, size=l)
-    return segs, AssignmentMatrix(indices=idx, k=k), protos_emb, rand_weights(rng, d)
+    return segs, idx, protos_emb, rand_weights(rng, d)
 
 
 def _textbook_attention(queries, segs, w):
@@ -90,10 +52,10 @@ def test_matches_textbook_attention_with_per_segment_projections():
     that project every segment compute the same functions: prototype
     queries for proto_attention, each segment's own for full_attention."""
     rng = np.random.default_rng(9)
-    segs, a, protos_emb, w = _kernel_case(rng, l=11, k=3, d=6)
-    proto_ref = _textbook_attention((protos_emb @ w.w_e)[a.indices], segs, w)
+    segs, idx, protos_emb, w = _kernel_case(rng, l=11, k=3, d=6)
+    proto_ref = _textbook_attention((protos_emb @ w.w_e)[idx], segs, w)
     full_ref = _textbook_attention(segs @ w.w_e, segs, w)
-    np.testing.assert_allclose(proto_attention(segs, a, protos_emb, w), proto_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(proto_attention(segs, idx, protos_emb, w), proto_ref, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(full_attention(segs, w), full_ref, rtol=1e-12, atol=1e-12)
 
 
@@ -103,8 +65,8 @@ def test_full_attention_differs_from_prototype_queries_off_the_prototypes():
     rng = np.random.default_rng(10)
     gaps = []
     for _ in range(20):
-        segs, a, protos_emb, w = _kernel_case(rng)
-        gap = proto_attention(segs, a, protos_emb, w) - full_attention(segs, w)
+        segs, idx, protos_emb, w = _kernel_case(rng)
+        gap = proto_attention(segs, idx, protos_emb, w) - full_attention(segs, w)
         gaps.append(np.max(np.abs(gap)))
     assert min(gaps) > 1e-3, gaps
 
@@ -116,64 +78,71 @@ def test_matches_full_attention_on_prototype_valued_inputs():
         protos_emb = rng.standard_normal((k, d))
         idx = rng.integers(k, size=10)
         segs = protos_emb[idx]  # each row IS its assigned prototype
-        a = AssignmentMatrix(indices=idx, k=k)
         w = rand_weights(rng, d)
-        got = proto_attention(segs, a, protos_emb, w)
+        got = proto_attention(segs, idx, protos_emb, w)
         ref = full_attention(segs, w)
         assert np.max(np.abs(got - ref)) <= 1e-6
 
 
 def test_shared_assignment_rows_are_bit_identical():
     rng = np.random.default_rng(3)
-    segs, a, protos_emb, w = _kernel_case(rng)
-    out = proto_attention(segs, a, protos_emb, w)
-    for i in range(a.l):
-        for j in range(i + 1, a.l):
-            if a.indices[i] == a.indices[j]:
+    segs, idx, protos_emb, w = _kernel_case(rng)
+    out = proto_attention(segs, idx, protos_emb, w)
+    for i in range(idx.size):
+        for j in range(i + 1, idx.size):
+            if idx[i] == idx[j]:
                 assert np.array_equal(out[i], out[j])
 
 
 def test_single_prototype_collapses_to_one_distribution():
     rng = np.random.default_rng(4)
     segs = rng.standard_normal((9, 6))
-    a = AssignmentMatrix(indices=np.zeros(9, dtype=np.int64), k=1)
     protos_emb = rng.standard_normal((1, 6))
-    out = proto_attention(segs, a, protos_emb, rand_weights(rng, 6))
+    out = proto_attention(segs, np.zeros(9, dtype=np.int64), protos_emb, rand_weights(rng, 6))
     np.testing.assert_array_equal(out, np.tile(out[0], (9, 1)))
 
 
 def test_permutation_equivariance():
     rng = np.random.default_rng(5)
-    segs, a, protos_emb, w = _kernel_case(rng)
-    out = proto_attention(segs, a, protos_emb, w)
-    perm = rng.permutation(a.l)
-    out_p = proto_attention(
-        segs[perm], AssignmentMatrix(indices=a.indices[perm], k=a.k), protos_emb, w
-    )
+    segs, idx, protos_emb, w = _kernel_case(rng)
+    out = proto_attention(segs, idx, protos_emb, w)
+    perm = rng.permutation(idx.size)
+    out_p = proto_attention(segs[perm], idx[perm], protos_emb, w)
     np.testing.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_kernel_output_shape_and_purity():
     rng = np.random.default_rng(6)
-    segs, a, protos_emb, w = _kernel_case(rng, l=7, k=3, d=5)
+    segs, idx, protos_emb, w = _kernel_case(rng, l=7, k=3, d=5)
     before = segs.copy()
-    out = proto_attention(segs, a, protos_emb, w)
+    out = proto_attention(segs, idx, protos_emb, w)
     assert out.shape == (7, 5)
     np.testing.assert_array_equal(segs, before)
-    np.testing.assert_array_equal(out, proto_attention(segs, a, protos_emb, w))
+    np.testing.assert_array_equal(out, proto_attention(segs, idx, protos_emb, w))
 
 
 def test_kernel_rejects_mismatched_shapes():
     rng = np.random.default_rng(7)
-    segs, a, protos_emb, w = _kernel_case(rng)
+    segs, idx, protos_emb, w = _kernel_case(rng)
     with pytest.raises(ShapeError):
-        proto_attention(segs[:, :4], a, protos_emb, w)
+        proto_attention(segs[:, :4], idx, protos_emb, w)
     with pytest.raises(ShapeError):
-        proto_attention(segs, a, protos_emb[:, :4], w)
+        proto_attention(segs, idx, protos_emb[:, :4], w)
     with pytest.raises(ShapeError):
-        proto_attention(segs, AssignmentMatrix(indices=a.indices[:-1], k=a.k), protos_emb, w)
+        proto_attention(segs, idx[:-1], protos_emb, w)
+    with pytest.raises(ShapeError):
+        proto_attention(segs, idx[:, None], protos_emb, w)
     with pytest.raises(ShapeError):
         full_attention(segs[:, :4], w)
+
+
+def test_proto_attention_rejects_out_of_range_indices():
+    # a negative index would otherwise wrap round in the final gather
+    rng = np.random.default_rng(11)
+    segs, _, protos_emb, w = _kernel_case(rng, l=2, k=3)
+    for bad in ([0, 3], [-1, 0]):
+        with pytest.raises(ConfigError):
+            proto_attention(segs, np.array(bad), protos_emb, w)
 
 
 def test_weights_validation():

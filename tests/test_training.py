@@ -268,5 +268,5 @@ def test_train_validates_dataset():
 
     # val partition (20 rows) can't hold a 36+4 window
     too_long = HyperParams(p=4, d=8, m=2, k=4, lookback=36, horizon=4, n_entities=3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="val partition has 20 rows"):
         train(ds, protos, too_long, opt)
