@@ -12,6 +12,17 @@ pass, shared by the loss and its gradient. Bucket sums are one flat
 equals `np.add.at` bit for bit. The public functions run the same
 arithmetic on invariants they compute per call, so they equal `fit`'s
 internal path bit for bit.
+
+Assignment never builds the full (n, k) distance matrix. `_closest_rows`
+splits the rows into ceil(n / 2048) near-equal blocks, so each block's
+distances and temporaries stay in cache, and keeps only each row's
+nearest index and its distance to it. The prototype-side terms are
+computed once per call, not per block. Blocking keeps the bits: every
+row's distances are the same GEMM row and the same elementwise ops as in
+`distance_matrix`. That holds only while no block has exactly one row of
+several: OpenBLAS sends a one-row product through gemv, whose sums can
+differ in the last bit from the GEMM row. Near-equal blocks have more
+than 1,024 rows whenever there are two or more.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ CLUSTER_OPT_DEFAULTS = OptimizerConfig(lr=1e-2, weight_decay=0.0)
 DEFAULT_MAX_ITERS = 500
 DEFAULT_TOL = 1e-5
 _TOL_WINDOW = 10
+_BLOCK_ROWS = 2048  # rows per assignment block: 2048 x 16 float64 is 256 KiB
 
 
 @dataclass(frozen=True)
@@ -110,23 +122,65 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=1)
 
 
+def _proto_terms(protos: np.ndarray):
+    """The prototype side of `_distances`: (2P)^T, squared norms and
+    centred-unit rows transposed. Scaling by 2 is exact."""
+    return (2.0 * protos).T, _sq_norms(protos), _center_unit(protos).T
+
+
 def _distances(
-    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray, alpha: float
+    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, terms, alpha: float
 ) -> np.ndarray:
-    """distance_matrix given the segments' squared norms and centred-unit rows."""
-    d = sq[:, None] - 2.0 * segments @ protos.T + (protos * protos).sum(axis=1)[None, :]
+    """distance_matrix given the segments' squared norms and centred-unit
+    rows and the prototype terms; in place, in distance_matrix's op order."""
+    two_t, norms, unit_t = terms
+    d = segments @ two_t
+    np.subtract(sq[:, None], d, out=d)
+    d += norms
     np.maximum(d, 0.0, out=d)
-    corr = unit @ _center_unit(protos).T
-    return d + alpha * (1.0 - corr)
+    corr = unit @ unit_t
+    np.subtract(1.0, corr, out=corr)
+    corr *= alpha
+    d += corr
+    return d
 
 
 def distance_matrix(segments: np.ndarray, protos: np.ndarray, alpha: float) -> np.ndarray:
     """Pairwise composite distances, (n, k)."""
-    return _distances(segments, _sq_norms(segments), _center_unit(segments), protos, alpha)
+    return _distances(
+        segments, _sq_norms(segments), _center_unit(segments), _proto_terms(protos), alpha
+    )
 
 
-def _closest(d: np.ndarray) -> np.ndarray:
-    return np.argmin(d, axis=-1).astype(np.int64)  # argmin takes the lowest index on ties
+def _closest_rows(
+    segments: np.ndarray, sq: np.ndarray | None, unit: np.ndarray | None,
+    protos: np.ndarray, alpha: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest prototype (lowest index on ties) and its distance
+    to it, (n,) int64 and (n,) float64, block by block.
+
+    sq and unit are the rows' squared norms and centred-unit rows; pass
+    None to compute them per block, so no (n, p) temporary is built.
+    """
+    terms = _proto_terms(protos)
+    n = segments.shape[0]
+    idx = np.empty(n, dtype=np.int64)
+    own = np.empty(n)
+    blocks = max(1, -(-n // _BLOCK_ROWS))
+    edges = [n * b // blocks for b in range(blocks + 1)]  # near-equal: no 1-row block
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = segments[lo:hi]
+        d = _distances(
+            rows,
+            _sq_norms(rows) if sq is None else sq[lo:hi],
+            _center_unit(rows) if unit is None else unit[lo:hi],
+            terms,
+            alpha,
+        )
+        best = np.argmin(d, axis=1)  # argmin takes the lowest index on ties
+        idx[lo:hi] = best
+        own[lo:hi] = d[np.arange(hi - lo), best]
+    return idx, own
 
 
 def _sizes(idx: np.ndarray, k: int) -> np.ndarray:
@@ -139,8 +193,9 @@ def nearest(segments: np.ndarray, protos: PrototypeSet) -> np.ndarray:
     segments = np.asarray(segments, dtype=np.float64)
     if segments.shape[-1:] != (protos.p,):
         raise ShapeError(f"segments must be (..., {protos.p}), got {segments.shape}")
-    d = distance_matrix(segments.reshape(-1, protos.p), protos.prototypes, protos.alpha)
-    return _closest(d).reshape(segments.shape[:-1])
+    rows = segments.reshape(-1, protos.p)
+    idx = _closest_rows(rows, None, None, protos.prototypes, protos.alpha)[0]
+    return idx.reshape(segments.shape[:-1])
 
 
 def assign(segments: SegmentMatrix, protos: PrototypeSet) -> BucketState:
@@ -234,32 +289,32 @@ def _init_prototypes(
     """
     n = segments.shape[0]
     chosen = [int(rng.integers(n))]
-    d = _distances(segments, sq, unit, segments[chosen], alpha)[:, 0]
+    d = _distances(segments, sq, unit, _proto_terms(segments[chosen]), alpha)[:, 0]
     d[chosen[0]] = -np.inf
     for _ in range(1, k):
         nxt = int(np.argmax(d))
         chosen.append(nxt)
-        d = np.minimum(d, _distances(segments, sq, unit, segments[[nxt]], alpha)[:, 0])
+        new = _distances(segments, sq, unit, _proto_terms(segments[[nxt]]), alpha)
+        np.minimum(d, new[:, 0], out=d)
         d[nxt] = -np.inf
     return segments[np.asarray(chosen)].astype(np.float64).copy()
 
 
 def _repair_empty(
     segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray,
-    alpha: float, d: np.ndarray, idx: np.ndarray,
+    alpha: float, idx: np.ndarray, own: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Re-seed empty buckets to the segments farthest from their prototype.
 
-    d is the (n, k) distance matrix idx was taken from.
+    idx and own are each segment's nearest prototype and its distance to it.
     """
     empties = np.flatnonzero(_sizes(idx, protos.shape[0]) == 0)
     if empties.size == 0:
         return protos, idx
-    own = d[np.arange(d.shape[0]), idx]
     order = np.argsort(-own, kind="stable")
     protos = protos.copy()
     protos[empties] = segments[order[: empties.size]]
-    return protos, _closest(_distances(segments, sq, unit, protos, alpha))
+    return protos, _closest_rows(segments, sq, unit, protos, alpha)[0]
 
 
 def fit(
@@ -290,9 +345,9 @@ def fit(
         raise ConfigError("tol must not be NaN")
     if max_iters < 0:
         raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
+    rng = seed_stream(seed, "init")
     opt = opt if opt is not None else CLUSTER_OPT_DEFAULTS
     sq, unit = _sq_norms(segs), _center_unit(segs)
-    rng = seed_stream(seed, "init")
     protos = _init_prototypes(segs, sq, unit, k, alpha, rng)
 
     adam = AdamW(opt)
@@ -302,8 +357,9 @@ def fit(
     iters = 0
     for it in range(max_iters):
         iters = it + 1
-        d = _distances(segs, sq, unit, protos, alpha)
-        protos, idx = _repair_empty(segs, sq, unit, protos, alpha, d, _closest(d))
+        protos, idx = _repair_empty(
+            segs, sq, unit, protos, alpha, *_closest_rows(segs, sq, unit, protos, alpha)
+        )
         stats = _bucket_stats(segs, unit, idx, k)
         total = _loss(stats, protos, alpha)[0]
         losses.append(total)
@@ -316,7 +372,7 @@ def fit(
                 break
         adam.step({"prototypes": protos}, {"prototypes": _loss_grad(stats, protos, alpha)})
 
-    idx = _closest(_distances(segs, sq, unit, protos, alpha))
+    idx = _closest_rows(segs, sq, unit, protos, alpha)[0]
     total = _loss(_bucket_stats(segs, unit, idx, k), protos, alpha)[0]
     if total < best_loss:
         best_loss = total

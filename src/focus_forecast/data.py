@@ -90,7 +90,17 @@ def load_csv(path: str) -> TimeSeriesDataset:
 
     Every data cell must parse as a finite real; ragged or malformed rows
     raise ParseError naming the offending row (1-based file line) or cell.
+    Plain files go through np.loadtxt; any file it refuses, or might read
+    differently, goes through the per-cell reader, which names the error.
     """
+    plain = _load_plain(path)
+    if plain is None:
+        return _load_per_cell(path)
+    return TimeSeriesDataset(values=plain[1], entity_names=plain[0])
+
+
+def _load_per_cell(path: str) -> TimeSeriesDataset:
+    """load_csv through the csv module, one float() per cell."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             names, rows = _parse_csv_rows(csv.reader(fh), path)
@@ -99,6 +109,40 @@ def load_csv(path: str) -> TimeSeriesDataset:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from e
     values = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
     return TimeSeriesDataset(values=values, entity_names=names)
+
+
+_PLAIN_CHUNK = 1 << 20
+
+
+def _load_plain(path: str) -> tuple[list[str], np.ndarray] | None:
+    """Header names and values of a plain CSV, streamed through np.loadtxt;
+    None where the per-cell reader must decide.
+
+    Plain means: no quote, carriage return, NUL or blank line, one value
+    row per line, every value finite. loadtxt skips blank lines and treats
+    quotes and carriage returns otherwise than the csv module; it refuses
+    some cells float() takes, such as '1_0'. Where it accepts a cell, its
+    value equals float(cell).
+    """
+    lines, prev = 0, b"\n"
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_PLAIN_CHUNK), b""):
+            if b'"' in chunk or b"\r" in chunk or b"\0" in chunk or b"\n\n" in prev[-1:] + chunk:
+                return None
+            lines += chunk.count(b"\n")
+            prev = chunk
+    lines += prev[-1:] != b"\n"  # a last line without a newline
+    if lines < 2:
+        return None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            names = [h.strip() for h in fh.readline().removesuffix("\n").split(",")]
+            values = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # UnicodeDecodeError too
+            return None
+    if "" in names or values.shape != (lines - 1, len(names)) or not np.isfinite(values).all():
+        return None
+    return names, values
 
 
 def _parse_csv_rows(reader, path: str) -> tuple[list[str], list[list[float]]]:
@@ -321,13 +365,13 @@ def generate_synthetic(
         raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     if n_entities < 1 or n_steps < p:
         raise ConfigError(f"need n_entities >= 1 and n_steps >= p, got {n_entities}, {n_steps}")
+    rng = seed_stream(seed, "synth")
     if bank == "smooth":
         templates = smooth_templates(k_true, p)
     elif bank == "mean_matched":
         templates = mean_matched_templates(k_true, p)
     else:
         raise ConfigError(f"unknown template bank {bank!r}")
-    rng = seed_stream(seed, "synth")
     n_windows = -(-n_steps // p)
     ids = rng.integers(0, k_true, size=(n_entities, n_windows))
     clean = templates[ids].reshape(n_entities, n_windows * p)[:, :n_steps]

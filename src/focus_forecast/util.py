@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 
 def seed_stream(seed: int, label: str) -> np.random.Generator:
@@ -14,10 +14,14 @@ def seed_stream(seed: int, label: str) -> np.random.Generator:
 
     A single run seed is stretched into per-stage streams keyed by a fixed
     label ("init", "shuffle", "synth", ...) so stages stay independent while
-    the whole run remains reproducible from one integer.
+    the whole run remains reproducible from one integer. Seeds outside
+    int64, which the model and prototype files store, raise ConfigError.
     """
+    seed = int(seed)
+    if not -(2**63) <= seed < 2**63:
+        raise ConfigError(f"seed must be in [-2**63, 2**63), got {seed}")
     entropy = int.from_bytes(label.encode("utf-8"), "little")
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFFFFFFFFFF, entropy]))
+    return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, entropy]))
 
 
 def require_finite(name: str, arr: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from focus_forecast import clustering
+from focus_forecast.bench import traced_peak_bytes
 from focus_forecast.clustering import (
     CLUSTER_OPT_DEFAULTS,
     FitMeta,
@@ -145,6 +146,32 @@ def test_assignment_is_optimal(seed, k, alpha):
     assert state.bucket_sizes.sum() == 10
     # any leading axes: each (p,) row maps as it does in the flat matrix
     np.testing.assert_array_equal(nearest(segs.reshape(2, 5, 4), protos), state.assignment.reshape(2, 5))
+
+
+@pytest.mark.parametrize("p", [2, 16])
+@pytest.mark.parametrize("k", [1, 2, 16, 17])
+@pytest.mark.parametrize("n", [1, 2, 2047, 2048, 2049, 4097, 6145])
+def test_closest_rows_equals_argmin_of_the_full_distance_matrix(n, k, p):
+    # 4097 and 6145 rows would leave a 1-row block under fixed 2048-row
+    # blocks, and a 1-row product is not bit-equal to its row of the GEMM
+    rng = np.random.default_rng(n * 1000 + k * 10 + p)
+    segs = rng.standard_normal((n, p))
+    protos = rng.standard_normal((k, p))
+    d = distance_matrix(segs, protos, 0.2)
+    want = np.argmin(d, axis=1)
+    sq, unit = clustering._sq_norms(segs), clustering._center_unit(segs)
+    for got in (clustering._closest_rows(segs, sq, unit, protos, 0.2),
+                clustering._closest_rows(segs, None, None, protos, 0.2)):
+        assert np.array_equal(got[0], want)
+        assert np.array_equal(got[1], d[np.arange(n), want])
+
+
+def test_nearest_never_holds_a_full_distance_matrix():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((100_000, 16))
+    protos = PrototypeSet(rng.standard_normal((16, 16)), alpha=0.2)
+    peak = traced_peak_bytes(lambda: nearest(x, protos))
+    assert peak < 100_000 * 16 * 8
 
 
 # ------------------------------------------------------------------ loss
@@ -322,6 +349,13 @@ def test_fit_rejects_non_finite_alpha_before_computing_any_distance(monkeypatch,
     with pytest.raises(ConfigError, match="alpha must be finite"):
         fit(make_segments(np.zeros((8, 4))), 2, alpha, max_iters=5)
     assert calls == []
+
+
+def test_fit_rejects_a_seed_outside_int64():
+    # the prototype file stores the seed as int64
+    segs = make_segments(np.random.default_rng(3).standard_normal((20, 4)))
+    with pytest.raises(ConfigError, match="seed"):
+        fit(segs, 2, 0.2, max_iters=3, seed=2**64)
 
 
 def test_fit_rejects_nan_tol_and_accepts_minus_inf():

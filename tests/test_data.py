@@ -54,6 +54,25 @@ def test_load_csv_rejects_nan_cell(tmp_path):
     assert exc.value.column == "b"
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("a,b\n1,2\n\n3,4\n", 3),  # np.loadtxt would skip the blank line
+        ("a,b\n1,2\r3,4\n\n", 4),  # a CR ends row 2 and the blank line is row 4
+        ("a,b\n1,1e400\n", 2),  # np.loadtxt reads inf
+    ],
+)
+def test_load_csv_names_the_row_loadtxt_would_misread(tmp_path, text, row):
+    with pytest.raises(ParseError) as exc:
+        load_csv(write(tmp_path, text))
+    assert exc.value.row == row
+
+
+def test_load_csv_reads_quoted_names_as_the_csv_module_does(tmp_path):
+    ds = load_csv(write(tmp_path, '"a",b\n1,2\n'))
+    assert ds.entity_names == ["a", "b"]
+
+
 def test_load_csv_rejects_non_numeric(tmp_path):
     with pytest.raises(ParseError):
         load_csv(write(tmp_path, "a,b\n1,oops\n"))

@@ -3,6 +3,8 @@
 Each reader gets arbitrary bytes and byte mutations (overwrites,
 insertions, deletions, truncation) of a valid file. Anything but a
 `FocusError` escaping is a bug: `focus` maps only those to exit codes.
+`load_csv`'s np.loadtxt path is checked against its per-cell reader on
+generated and mutated CSVs.
 """
 
 import numpy as np
@@ -19,8 +21,9 @@ from focus_forecast.container import (
     save_model,
     save_prototypes,
 )
+from focus_forecast import data
 from focus_forecast.data import load_csv
-from focus_forecast.errors import FocusError
+from focus_forecast.errors import FocusError, ParseError
 from focus_forecast.model import HyperParams, init_params
 
 FUZZ = settings(
@@ -78,11 +81,8 @@ def _mutate(data: bytes, edits) -> bytes:
     return bytes(buf)
 
 
-EDITS = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 1 << 16), st.integers(0, 255)),
-    min_size=1,
-    max_size=6,
-)
+EDIT = st.tuples(st.integers(0, 4), st.integers(0, 1 << 16), st.integers(0, 255))
+EDITS = st.lists(EDIT, min_size=1, max_size=6)
 
 READERS = {
     "protos": [read_container, load_prototypes],
@@ -122,3 +122,69 @@ def test_unmutated_files_load(valid, kind):
     path.write_bytes(files[kind])
     for read in READERS[kind]:
         read(path)
+
+
+# cells either reader may refuse, or read otherwise than float() would
+ODD_CELLS = ["NaN", "inf", "-Infinity", "1e400", "1e-400", "1_0", "\xa01.5\xa0", " 2 ",
+             '"3"', '"4,5"', "", "\u0661\u0662", "0x10", "nan(1)", "+.5", "5.", "#6", "7\t"]
+CELLS = st.one_of(
+    st.floats(width=64).map(lambda v: f"{v:.17g}"),
+    st.floats(width=64).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(ODD_CELLS),
+)
+
+
+@st.composite
+def csv_files(draw, cells=CELLS, odd_layout=True):
+    """A CSV as bytes: a header and rows of mostly the header's width. With
+    odd_layout, maybe quoted names, no rows, CRLF or CR endings, blank lines
+    or no last newline; without it, at least one row of the header's width."""
+    names = ["a", "b", " c ", "d e"] + (['"f"', '"g,h"'] if odd_layout else [])
+    names = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4))
+    width = st.just(len(names))
+    if odd_layout:
+        width = st.one_of(width, width, width, st.integers(0, 5))
+    rows = draw(st.lists(width.flatmap(lambda w: st.lists(cells, min_size=w, max_size=w)),
+                         min_size=0 if odd_layout else 1, max_size=8))
+    lines = [",".join(names)] + [",".join(r) for r in rows]
+    end = "\n"
+    if odd_layout:
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), "")
+    text = end.join(lines)
+    if not odd_layout or draw(st.booleans()):
+        text += end
+    return text.encode("utf-8")
+
+
+def _outcome(read, path):
+    try:
+        ds = read(path)
+    except ParseError as e:
+        return str(e), e.row, e.column
+    return ds.entity_names, ds.values.shape, ds.values.tobytes()
+
+
+@FUZZ
+@given(text=csv_files(), edits=st.lists(EDIT, max_size=3))
+def test_load_csv_equals_its_per_cell_reader(valid, text, edits):
+    path = valid[1]
+    path.write_bytes(_mutate(text, edits) if edits else text)
+    assert _outcome(load_csv, path) == _outcome(data._load_per_cell, path)
+
+
+@FUZZ
+@given(text=csv_files(
+    cells=st.floats(width=64, allow_nan=False, allow_infinity=False).flatmap(
+        lambda v: st.sampled_from([f"{v:.17g}", repr(v)])),
+    odd_layout=False,
+))
+def test_plain_csv_takes_the_loadtxt_path_bit_for_bit(valid, text):
+    path = valid[1]
+    path.write_bytes(text)
+    names, values = data._load_plain(path)
+    want = data._load_per_cell(path)
+    assert names == want.entity_names
+    assert values.shape == want.values.shape and values.tobytes() == want.values.tobytes()

@@ -35,6 +35,17 @@ def test_seed_stream_frozen_draw():
     assert got.tolist() == [781549, 761324, 997633]
 
 
+@pytest.mark.parametrize("seed", [2**63, 2**64, -(2**63) - 1])
+def test_seed_stream_rejects_seeds_outside_int64(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        seed_stream(seed, "init")
+
+
+def test_seed_stream_accepts_the_int64_extremes():
+    seed_stream(2**63 - 1, "init")
+    seed_stream(-(2**63), "init")
+
+
 def test_require_finite_passes_through():
     arr = np.array([1.0, -2.0, 0.0])
     assert require_finite("x", arr) is arr
