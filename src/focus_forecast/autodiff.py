@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ShapeError
 
 _GRAD_ENABLED = True
+RMS_EPS = 1e-8  # rms_rows' variance floor, the layer norm's epsilon
 
 
 class no_grad:
@@ -238,8 +239,8 @@ def softmax(a: Tensor) -> Tensor:
     return _wire(out, (a,), bw)
 
 
-def rms_rows(u: Tensor, gram: Tensor, eps: float = 1e-8) -> Tensor:
-    """Scale each row of u (..., w) by r = 1/sqrt(max(u G u^T, 0) + eps), G = gram.
+def rms_rows(u: Tensor, gram: Tensor) -> Tensor:
+    """Scale each row of u (..., w) by r = 1/sqrt(max(u G u^T, 0) + RMS_EPS), G = gram.
 
     With G = Wc Wc^T / d for a row-centred (w, d) map Wc, u G u^T is the
     variance of the d-wide row u Wc, so (r u) Wc is that row layer-normed,
@@ -253,7 +254,7 @@ def rms_rows(u: Tensor, gram: Tensor, eps: float = 1e-8) -> Tensor:
     q = np.einsum("...i,...i->...", ud @ g_mat, ud)[..., None]
     active = q > 0
     np.maximum(q, 0.0, out=q)
-    q += eps
+    q += RMS_EPS
     r = np.sqrt(q, out=q)
     np.divide(1.0, r, out=r)
     out = Tensor(ud * r)

@@ -21,12 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:
-    from threadpoolctl import threadpool_limits
-except ImportError:  # optional extra; OpenBLAS is then pinned through ctypes
-    threadpool_limits = None
-
 from .clustering import PrototypeSet, fit, nearest, pearson_corr
+from .config import RunConfig
 from .data import SegmentMatrix, TimeSeriesDataset, segment
 from .errors import ConfigError
 from .model import HyperParams, init_params, predict
@@ -70,8 +66,8 @@ def _openblas_threads():
             set_.argtypes, set_.restype = [ctypes.c_int], None
             return get, set_
     warnings.warn(
-        "BLAS threads are not pinned: neither threadpoolctl nor an OpenBLAS "
-        "library was found, so timings may use several threads",
+        "BLAS threads are not pinned: no OpenBLAS library was found, so "
+        "timings may use several threads",
         RuntimeWarning,
         stacklevel=2,
     )
@@ -82,10 +78,6 @@ def _openblas_threads():
 def _single_thread():
     # pin BLAS to one thread so wall-clock scaling reflects arithmetic, not
     # parallel speedup kicking in at larger sizes
-    if threadpool_limits is not None:
-        with threadpool_limits(limits=1):
-            yield
-        return
     fns = _openblas_threads()
     if fns is None:
         yield
@@ -185,13 +177,7 @@ def count_forward_flops(h: HyperParams) -> int:
 
 
 def scaling_sweep(
-    mode: str,
-    sizes: list[int] | tuple[int, ...],
-    k: int = 16,
-    d: int = 64,
-    p: int = 16,
-    m: int = 6,
-    seed: int = 0,
+    mode: str, sizes: list[int] | tuple[int, ...], cfg: RunConfig
 ) -> BenchReport:
     """Time one attention path (or the whole model) at several window sizes.
 
@@ -200,8 +186,10 @@ def scaling_sweep(
     repetitions after 2 warmups, single-threaded. After the timing, each
     size's call runs once more, untimed, for its `traced_peak_bytes`. For
     end_to_end, size is the segment count l of a 4-entity model with
-    lookback l*p and horizon 16; p and m shape only that mode.
+    lookback l*p and horizon 16. The shape (k, d, p, m) and the seed come
+    from cfg; p and m shape only end_to_end.
     """
+    k, d, p, m, seed = cfg.k, cfg.d, cfg.p, cfg.m, cfg.seed
     if mode not in SWEEP_MODES:
         raise ConfigError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if k < 1 or d < 1:

@@ -93,7 +93,7 @@ def cmd_cluster(args) -> int:
         segs,
         cfg.k,
         cfg.alpha,
-        opt=cfg.cluster_optimizer(),
+        lr=cfg.cluster_lr,
         max_iters=cfg.cluster_max_iters,
         tol=cfg.cluster_tol,
         seed=cfg.seed,
@@ -188,10 +188,7 @@ def cmd_bench(args) -> int:
     for i, mode in enumerate(modes):
         if mode in modes[:i]:
             raise ConfigError(f"--mode lists {mode!r} more than once")
-    reports = [
-        scaling_sweep(mode, sizes, k=cfg.k, d=cfg.d, p=cfg.p, m=cfg.m, seed=cfg.seed)
-        for mode in modes
-    ]
+    reports = [scaling_sweep(mode, sizes, cfg) for mode in modes]
     merged = BenchReport(
         rows=tuple(row for r in reports for row in r.rows),
         slopes={mode: slope for r in reports for mode, slope in r.slopes.items()},

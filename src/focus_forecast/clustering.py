@@ -6,12 +6,12 @@ refinement of the prototypes against a reconstruction + correlation loss.
 
 The segments never change during a fit, so `fit` computes their squared
 norms and centred-unit rows once and every distance, assignment and
-bucket-statistics pass reuses them; each iteration takes one statistics
-pass, shared by the loss and its gradient. Bucket sums are one flat
-`np.bincount` per array, which adds the rows in segment order and so
-equals `np.add.at` bit for bit. The public functions run the same
-arithmetic on invariants they compute per call, so they equal `fit`'s
-internal path bit for bit.
+bucket-statistics pass reuses them. Loss and gradient come from one
+pass, `_objective`, over each iteration's one set of bucket statistics.
+Bucket sums are one flat `np.bincount` per array, which adds the rows in
+segment order and so equals `np.add.at` bit for bit. The public functions
+run the same arithmetic on invariants they compute per call, so they
+equal `fit`'s internal path bit for bit.
 
 Assignment never builds the full (n, k) distance matrix. `_closest_rows`
 splits the rows into ceil(n / 2048) near-equal blocks, so each block's
@@ -27,7 +27,7 @@ than 1,024 rows whenever there are two or more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -218,12 +218,9 @@ def _bucket_stats(segments: np.ndarray, unit: np.ndarray, idx: np.ndarray, k: in
     return counts, sums, unit_sums
 
 
-def _public_stats(segments: SegmentMatrix, protos: PrototypeSet, buckets: BucketState):
-    segs = segments.segments
-    return _bucket_stats(segs, _center_unit(segs), buckets.assignment, protos.k)
-
-
-def _loss(stats, protos: np.ndarray, alpha: float) -> tuple[float, float, float]:
+def _objective(stats, protos: np.ndarray, alpha: float):
+    """(total, reconstruction, correlation, gradient) of the loss at fixed
+    bucket statistics, from one pass over them."""
     counts, sums, unit_sums = stats
     nonempty = counts > 0
     means = np.where(nonempty[:, None], sums / np.maximum(counts, 1.0)[:, None], protos)
@@ -233,7 +230,25 @@ def _loss(stats, protos: np.ndarray, alpha: float) -> tuple[float, float, float]
     # sum of corr(seg, c_j) over members of bucket j, then average per bucket
     corr_sums = (unit_sums * proto_unit).sum(axis=1)
     corr = -float((corr_sums[nonempty] / counts[nonempty]).sum())
-    return rec + alpha * corr, rec, corr
+
+    grad = 2.0 * diff
+    grad[~nonempty] = 0.0
+    # d corr(s, c)/dc = (u_s - corr * v_c) / ||c - mean(c)||, already centered
+    cnorm = np.linalg.norm(protos - protos.mean(axis=1, keepdims=True), axis=1)
+    ok = nonempty & (cnorm >= CORR_NORM_FLOOR)
+    corr_grad = np.zeros_like(protos)
+    corr_grad[ok] = (
+        -(alpha / counts[ok, None])
+        * (unit_sums[ok] - corr_sums[ok, None] * proto_unit[ok])
+        / cnorm[ok, None]
+    )
+    return rec + alpha * corr, rec, corr, grad + corr_grad
+
+
+def _public_objective(segments: SegmentMatrix, protos: PrototypeSet, buckets: BucketState):
+    segs = segments.segments
+    stats = _bucket_stats(segs, _center_unit(segs), buckets.assignment, protos.k)
+    return _objective(stats, protos.prototypes, protos.alpha)
 
 
 def clustering_loss(
@@ -245,36 +260,14 @@ def clustering_loss(
     mean; correlation is the negated per-bucket mean Pearson correlation.
     Empty buckets contribute zero to both terms.
     """
-    return _loss(_public_stats(segments, protos, buckets), protos.prototypes, protos.alpha)
-
-
-def _loss_grad(stats, protos: np.ndarray, alpha: float) -> np.ndarray:
-    counts, sums, unit_sums = stats
-    nonempty = counts > 0
-    means = np.where(nonempty[:, None], sums / np.maximum(counts, 1.0)[:, None], protos)
-    grad = 2.0 * (protos - means)
-    grad[~nonempty] = 0.0
-
-    centered = protos - protos.mean(axis=1, keepdims=True)
-    cnorm = np.linalg.norm(centered, axis=1)
-    proto_unit = _center_unit(protos)
-    f_sums = (unit_sums * proto_unit).sum(axis=1)  # sum of corr over members
-    ok = nonempty & (cnorm >= CORR_NORM_FLOOR)
-    # d corr(s, c)/dc = (u_s - corr * v_c) / ||c - mean(c)||, already centered
-    corr_grad = np.zeros_like(protos)
-    corr_grad[ok] = (
-        -(alpha / counts[ok, None])
-        * (unit_sums[ok] - f_sums[ok, None] * proto_unit[ok])
-        / cnorm[ok, None]
-    )
-    return grad + corr_grad
+    return _public_objective(segments, protos, buckets)[:3]
 
 
 def clustering_loss_grad(
     segments: SegmentMatrix, protos: PrototypeSet, buckets: BucketState
 ) -> np.ndarray:
     """Analytic gradient of the total loss w.r.t. each prototype row."""
-    return _loss_grad(_public_stats(segments, protos, buckets), protos.prototypes, protos.alpha)
+    return _public_objective(segments, protos, buckets)[3]
 
 
 def _init_prototypes(
@@ -321,7 +314,7 @@ def fit(
     segments: SegmentMatrix,
     k: int,
     alpha: float,
-    opt: OptimizerConfig | None = None,
+    lr: float = CLUSTER_OPT_DEFAULTS.lr,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
@@ -329,7 +322,8 @@ def fit(
     """Learn k prototypes from segments by alternating assign/refine steps.
 
     Each outer iteration refreshes assignments (repairing empty buckets),
-    then takes one AdamW step on the prototypes against the analytic loss
+    then takes one AdamW step of learning rate lr (the other settings are
+    CLUSTER_OPT_DEFAULTS) on the prototypes against the analytic loss
     gradient. Stops when the relative loss improvement over a 10-iteration
     window falls below tol, or at max_iters. Returns the best state seen,
     so the final loss never exceeds the initial one; deterministic given
@@ -346,11 +340,10 @@ def fit(
     if max_iters < 0:
         raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
     rng = seed_stream(seed, "init")
-    opt = opt if opt is not None else CLUSTER_OPT_DEFAULTS
+    adam = AdamW(replace(CLUSTER_OPT_DEFAULTS, lr=lr))
     sq, unit = _sq_norms(segs), _center_unit(segs)
     protos = _init_prototypes(segs, sq, unit, k, alpha, rng)
 
-    adam = AdamW(opt)
     losses: list[float] = []
     best_loss = np.inf
     best = protos.copy()
@@ -360,8 +353,7 @@ def fit(
         protos, idx = _repair_empty(
             segs, sq, unit, protos, alpha, *_closest_rows(segs, sq, unit, protos, alpha)
         )
-        stats = _bucket_stats(segs, unit, idx, k)
-        total = _loss(stats, protos, alpha)[0]
+        total, _, _, grad = _objective(_bucket_stats(segs, unit, idx, k), protos, alpha)
         losses.append(total)
         if total < best_loss:
             best_loss = total
@@ -370,10 +362,10 @@ def fit(
             prev = losses[-1 - _TOL_WINDOW]
             if (prev - total) < tol * max(abs(prev), 1e-12):
                 break
-        adam.step({"prototypes": protos}, {"prototypes": _loss_grad(stats, protos, alpha)})
+        adam.step({"prototypes": protos}, {"prototypes": grad})
 
     idx = _closest_rows(segs, sq, unit, protos, alpha)[0]
-    total = _loss(_bucket_stats(segs, unit, idx, k), protos, alpha)[0]
+    total = _objective(_bucket_stats(segs, unit, idx, k), protos, alpha)[0]
     if total < best_loss:
         best_loss = total
         best = protos.copy()

@@ -51,10 +51,6 @@ class RunConfig:
             **{f.name: getattr(self, f.name) for f in fields(OptimizerConfig)}
         )
 
-    def cluster_optimizer(self) -> OptimizerConfig:
-        # everything but lr and seed, weight decay included, is clustering's
-        return replace(CLUSTER_OPT_DEFAULTS, lr=self.cluster_lr, seed=self.seed)
-
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
 

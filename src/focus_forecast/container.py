@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .clustering import FitMeta, PrototypeSet
-from .errors import ContainerError
+from .data import check_ratio
+from .errors import ContainerError, FocusError
 from .model import HyperParams, ModelParams, _param_shapes, params_from_arrays
 
 MAGIC = b"FOCS"
@@ -131,6 +132,16 @@ def _scalar_item(tensors: dict[str, np.ndarray], name: str, path):
     return arr.item()
 
 
+def _from_file(where, build, *args, **kwargs):
+    """build(*args, **kwargs); a value it rejects makes the file corrupt,
+    so any FocusError it raises is re-raised as a ContainerError that
+    names `where` (the file, or the file and its entry)."""
+    try:
+        return build(*args, **kwargs)
+    except FocusError as e:
+        raise ContainerError(f"{where}: {e}") from e
+
+
 def _int_item(tensors: dict[str, np.ndarray], name: str, path) -> int:
     value = _scalar_item(tensors, name, path)
     # a float entry can hold NaN, an infinity or a fraction
@@ -161,7 +172,7 @@ def _protos_from_entries(tensors, path, prefix: str = "") -> PrototypeSet:
             f"{path}: prototypes shaped {rows.shape}, but scalars say ({k}, {p})"
         )
     # iterations/loss are not stored; only the seed survives a reload
-    return PrototypeSet(rows, alpha, FitMeta(0, float("nan"), seed))
+    return _from_file(path, PrototypeSet, rows, alpha, FitMeta(0, float("nan"), seed))
 
 
 def save_prototypes(path: str | Path, protos: PrototypeSet) -> None:
@@ -198,8 +209,10 @@ def save_model(
 def load_model(path: str | Path):
     """Read a model file back as (params, (mean, std), ratio)."""
     tensors = read_container(path)
-    hyper = HyperParams(
-        **{name: _int_item(tensors, f"hyper/{name}", path) for name in HYPER_FIELDS}
+    hyper = _from_file(
+        path,
+        HyperParams,
+        **{name: _int_item(tensors, f"hyper/{name}", path) for name in HYPER_FIELDS},
     )
     protos = _protos_from_entries(tensors, path, prefix="protos/")
     arrays = {}
@@ -224,4 +237,6 @@ def load_model(path: str | Path):
         raise ContainerError(f"{path}: norm/ratio must have 3 entries, got {r.shape}")
     if not np.all(np.isfinite(r)):
         raise ContainerError(f"{path}: norm/ratio has a non-finite entry")
-    return params, norm_stats, (float(r[0]), float(r[1]), float(r[2]))
+    ratio = (float(r[0]), float(r[1]), float(r[2]))
+    _from_file(f"{path}: norm/ratio", check_ratio, ratio)
+    return params, norm_stats, ratio

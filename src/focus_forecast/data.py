@@ -182,12 +182,18 @@ def _parse_csv_rows(reader, path: str) -> tuple[list[str], list[list[float]]]:
     return names, rows
 
 
-def _split_indices(t: int, ratio: tuple[float, float, float]) -> tuple[int, int]:
-    r_train, r_val, r_test = ratio
+def check_ratio(ratio: tuple[float, float, float]) -> None:
+    """Raise ConfigError unless the three split fractions are finite,
+    positive and sum to 1."""
     if not all(r > 0 and math.isfinite(r) for r in ratio):
         raise ConfigError(f"split fractions must be finite and positive, got {ratio}")
-    if abs(r_train + r_val + r_test - 1.0) > 1e-9:
+    if abs(sum(ratio) - 1.0) > 1e-9:
         raise ConfigError(f"split fractions must sum to 1, got {ratio}")
+
+
+def _split_indices(t: int, ratio: tuple[float, float, float]) -> tuple[int, int]:
+    check_ratio(ratio)
+    r_train, r_val, _ = ratio
     train_end = int(math.floor(r_train * t))
     val_end = int(math.floor((r_train + r_val) * t))
     if not (0 < train_end < val_end < t):

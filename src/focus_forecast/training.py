@@ -22,6 +22,8 @@ from .model import HyperParams, ModelParams, forward, init_params, params_from_a
 from .optim import AdamW, OptimizerConfig
 from .util import fix_heap_policy, require_finite, seed_stream
 
+EVAL_BATCH = 64  # windows per inference batch in evaluate
+
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:
     if pred.shape != target.shape:
@@ -115,15 +117,13 @@ class TrainReport:
     test_mae: float
 
 
-def evaluate(
-    params: ModelParams, x: np.ndarray, y: np.ndarray, batch_size: int = 64
-) -> tuple[float, float]:
-    """(MSE, MAE) of the model over (x, y), computed in inference batches."""
+def evaluate(params: ModelParams, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(MSE, MAE) of the model over (x, y), computed in batches of EVAL_BATCH."""
     fix_heap_policy()
     sq = 0.0
     ab = 0.0
-    for lo in range(0, x.shape[0], batch_size):
-        err = predict(params, x[lo : lo + batch_size]) - y[lo : lo + batch_size]
+    for lo in range(0, x.shape[0], EVAL_BATCH):
+        err = predict(params, x[lo : lo + EVAL_BATCH]) - y[lo : lo + EVAL_BATCH]
         sq += (err**2).sum()
         ab += np.abs(err).sum()
     return float(sq / y.size), float(ab / y.size)

@@ -21,6 +21,7 @@ from focus_forecast.bench import (
     scaling_sweep,
 )
 from focus_forecast.clustering import PrototypeSet, fit
+from focus_forecast.config import RunConfig
 from focus_forecast.data import (
     generate_synthetic,
     make_windows,
@@ -131,7 +132,7 @@ def test_criterion_4_linear_scaling():
     # seen); the median over independent sweeps outvotes such a sweep.
     def slope(mode, sizes, sweeps):
         return float(np.median(
-            [scaling_sweep(mode, sizes, k=k, d=d).slopes[mode] for _ in range(sweeps)]
+            [scaling_sweep(mode, sizes, RunConfig(k=k, d=d)).slopes[mode] for _ in range(sweeps)]
         ))
 
     proto_slope = slope("protoattn", (512, 1024, 2048, 4096), 5)

@@ -17,6 +17,7 @@ from focus_forecast.bench import (
     traced_peak_bytes,
 )
 from focus_forecast.clustering import PrototypeSet, fit
+from focus_forecast.config import RunConfig
 from focus_forecast.data import generate_synthetic, segment
 from focus_forecast.errors import ConfigError
 from focus_forecast.model import HyperParams
@@ -30,8 +31,7 @@ def hyper_at(l, n=4):
 # ------------------------------------------------------------ BLAS pinning
 
 
-def test_single_thread_pins_openblas_without_threadpoolctl(monkeypatch):
-    monkeypatch.setattr(bench, "threadpool_limits", None)
+def test_single_thread_pins_openblas_and_restores_it():
     fns = bench._openblas_threads()
     if fns is None:
         pytest.skip("numpy is not linked against a loadable OpenBLAS")
@@ -130,24 +130,24 @@ def test_prototype_template_correlation_perfect_and_scaled():
 
 def test_scaling_sweep_validation():
     with pytest.raises(ConfigError):
-        scaling_sweep("warp", (8, 16, 32))
+        scaling_sweep("warp", (8, 16, 32), RunConfig())
     with pytest.raises(ConfigError):
-        scaling_sweep("protoattn", (8, 16))
+        scaling_sweep("protoattn", (8, 16), RunConfig())
     with pytest.raises(ConfigError):
-        scaling_sweep("protoattn", (32, 16, 8))
+        scaling_sweep("protoattn", (32, 16, 8), RunConfig())
     with pytest.raises(ConfigError):
-        scaling_sweep("protoattn", (0, 16, 32))
+        scaling_sweep("protoattn", (0, 16, 32), RunConfig())
     with pytest.raises(ConfigError):  # a repeated size would pool two cases' timings
-        scaling_sweep("protoattn", (8, 8, 16))
+        scaling_sweep("protoattn", (8, 8, 16), RunConfig())
     for mode in SWEEP_MODES:
         for k, d in ((0, 8), (4, 0)):
             with pytest.raises(ConfigError):
-                scaling_sweep(mode, (8, 16, 32), k=k, d=d, p=4, m=2)
+                scaling_sweep(mode, (8, 16, 32), RunConfig(k=k, d=d, p=4, m=2))
 
 
 def test_scaling_sweep_rows_and_csv():
     sizes = (8, 16, 32)
-    report = scaling_sweep("protoattn", sizes, k=4, d=8)
+    report = scaling_sweep("protoattn", sizes, RunConfig(k=4, d=8))
     assert tuple(r.size for r in report.rows) == sizes
     for row in report.rows:
         assert row.experiment == "protoattn"
@@ -167,13 +167,13 @@ def test_scaling_sweep_rows_and_csv():
 
 
 def test_scaling_sweep_full_attn_uses_quadratic_cost_model():
-    report = scaling_sweep("full_attn", (8, 16, 32), k=4, d=8)
+    report = scaling_sweep("full_attn", (8, 16, 32), RunConfig(k=4, d=8))
     for row in report.rows:
         assert row.flops == count_flops_full(row.size, 8)
 
 
 def test_scaling_sweep_end_to_end_runs():
-    report = scaling_sweep("end_to_end", (2, 4, 6), k=4, d=8, p=4, m=2)
+    report = scaling_sweep("end_to_end", (2, 4, 6), RunConfig(k=4, d=8, p=4, m=2))
     assert [r.size for r in report.rows] == [2, 4, 6]
     for row in report.rows:
         h = HyperParams(p=4, d=8, m=2, k=4, lookback=row.size * 4, horizon=16, n_entities=4)
@@ -191,7 +191,7 @@ def test_scaling_sweep_peaks_grow_linearly_for_prototypes_and_quadratically_for_
     sizes = (128, 256, 512)
 
     def peaks(mode):
-        return [row.peak_bytes for row in scaling_sweep(mode, sizes, k=4, d=8).rows]
+        return [row.peak_bytes for row in scaling_sweep(mode, sizes, RunConfig(k=4, d=8)).rows]
 
     proto, full = peaks("protoattn"), peaks("full_attn")
     for small, large in zip(proto, proto[1:]):

@@ -364,6 +364,29 @@ def test_eval_rejects_model_with_nan_std(pipeline, tmp_path):
     assert str(model) in err and "norm/std" in err
 
 
+@pytest.mark.parametrize(
+    "name,value,match",
+    [
+        ("norm/ratio", np.array([0.5, 0.5, 0.5]), "split fractions must sum to 1"),
+        ("hyper/p", np.asarray(1, dtype=np.int64), "p must be >= 2"),
+        ("protos/alpha", np.asarray(-1.0), "alpha must be finite and >= 0"),
+    ],
+    ids=["ratio-sum", "hyper-p", "alpha-negative"],
+)
+def test_eval_rejects_a_model_value_out_of_range_as_a_corrupt_file(
+    pipeline, tmp_path, name, value, match
+):
+    # these values load as numbers, but no saved model can hold them
+    model = tmp_path / "model.bin"
+    tensors = read_container(pipeline["model"])
+    tensors[name] = value
+    write_container(model, tensors)
+    code, _, err = run(["eval", "--data", pipeline["data"], "--model", str(model),
+                        "--split", "test"])
+    assert code == 2
+    assert str(model) in err and match in err
+
+
 def test_eval_rejects_model_without_split_ratio(pipeline, tmp_path):
     # the test windows are those of the split the model was trained with
     model = tmp_path / "model.bin"
@@ -415,6 +438,17 @@ def test_cluster_rejects_infinite_alpha(pipeline, tmp_path):
                         "--alpha", "inf", "--out", str(out)])
     assert code == 1
     assert "alpha must be finite" in err
+    assert not out.exists()
+
+
+def test_cluster_rejects_nan_cluster_lr_before_fitting(pipeline, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cluster_lr=nan\n")
+    out = tmp_path / "p.bin"
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--out", str(out), "--config", str(cfg)])
+    assert code == 1
+    assert "lr must be finite" in err
     assert not out.exists()
 
 

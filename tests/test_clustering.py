@@ -468,6 +468,15 @@ def test_fit_equals_loop_of_public_calls_bit_for_bit():
     assert out.fit_meta.iterations == 12
 
 
+@pytest.mark.parametrize("iters", [0, 25])
+def test_clustering_loss_equals_the_loss_fit_records(iters):
+    # fit and the public loss share one objective, so the bits agree
+    sm, _ = _planted_segments(4)
+    out = fit(sm, 4, 0.2, max_iters=iters, tol=float("-inf"), seed=2)
+    total = clustering_loss(sm, out, assign(sm, out))[0]
+    assert total == out.fit_meta.final_loss
+
+
 def test_fit_result_is_read_only():
     sm, _ = _planted_segments(3)
     out = fit(sm, 4, 0.2, max_iters=10, seed=0)

@@ -1,7 +1,10 @@
 """Config file parsing and the default/file/override layering."""
 
+import numpy as np
 import pytest
 
+from conftest import make_segments
+from focus_forecast import clustering
 from focus_forecast.config import RunConfig, read_config_file, resolve_config
 from focus_forecast.errors import ConfigError, ParseError
 from focus_forecast.optim import OptimizerConfig
@@ -37,12 +40,17 @@ def test_precedence_defaults_then_file_then_overrides(tmp_path):
     assert cfg.p == 16         # untouched default
 
 
-def test_nan_cluster_lr_is_rejected_when_the_optimizer_is_built(tmp_path):
+def test_nan_cluster_lr_is_rejected_when_the_optimizer_is_built(tmp_path, monkeypatch):
     path = tmp_path / "run.cfg"
     path.write_text("cluster_lr=nan\n")
     cfg = resolve_config(path)
+    calls = []
+    real = clustering._distances
+    monkeypatch.setattr(clustering, "_distances", lambda *a: calls.append(1) or real(*a))
+    segs = make_segments(np.random.default_rng(3).standard_normal((20, 4)))
     with pytest.raises(ConfigError, match="lr must be finite"):
-        cfg.cluster_optimizer()
+        clustering.fit(segs, 2, cfg.alpha, lr=cfg.cluster_lr, max_iters=3)
+    assert calls == []
 
 
 def test_resolve_without_file_or_overrides():
@@ -121,11 +129,3 @@ def test_optimizer_mapping():
 
 def test_default_run_config_maps_to_default_optimizer():
     assert RunConfig().optimizer() == OptimizerConfig()
-
-
-def test_cluster_optimizer_mapping():
-    cfg = RunConfig(cluster_lr=0.05, weight_decay=0.3, seed=9)
-    copt = cfg.cluster_optimizer()
-    assert copt.lr == 0.05
-    assert copt.weight_decay == 0.0  # prototypes are never decayed
-    assert copt.seed == 9

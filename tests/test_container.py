@@ -16,7 +16,7 @@ from focus_forecast.container import (
     save_prototypes,
     write_container,
 )
-from focus_forecast.errors import ConfigError, ContainerError
+from focus_forecast.errors import ContainerError
 from focus_forecast.model import HyperParams, init_params, predict
 
 # what every model file carries for two entities
@@ -199,7 +199,7 @@ def test_prototype_load_rejects_nan_alpha(tmp_path):
     tensors = read_container(path)
     tensors["alpha"] = np.asarray(np.nan)
     write_container(path, tensors)
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(ContainerError, match="alpha"):
         load_prototypes(path)
 
 
@@ -210,8 +210,9 @@ def test_prototype_load_rejects_infinite_alpha(tmp_path):
     tensors = read_container(path)
     tensors["alpha"] = np.asarray(np.inf)
     write_container(path, tensors)
-    with pytest.raises(ConfigError, match="alpha must be finite"):
+    with pytest.raises(ContainerError, match="alpha must be finite") as info:
         load_prototypes(path)
+    assert str(path) in str(info.value)
 
 
 def test_model_round_trip_with_norm_stats(tmp_path):
@@ -248,8 +249,11 @@ def test_model_round_trip_with_norm_stats(tmp_path):
         ("norm/std", [1.0, 0.0], "norm/std entries must be positive"),
         ("norm/std", [[1.0, 1.0]], r"norm/std must have shape \(2,\)"),
         ("norm/ratio", [0.7, np.nan, 0.2], "norm/ratio has a non-finite entry"),
+        ("norm/ratio", [0.5, 0.5, 0.5], "norm/ratio: split fractions must sum to 1"),
+        ("norm/ratio", [-0.1, 0.9, 0.2], "norm/ratio: split fractions must be finite and positive"),
     ],
-    ids=["mean-inf", "mean-shape", "std-nan", "std-zero", "std-shape", "ratio-nan"],
+    ids=["mean-inf", "mean-shape", "std-nan", "std-zero", "std-shape", "ratio-nan",
+         "ratio-sum", "ratio-negative"],
 )
 def test_model_load_rejects_bad_norm_entries(tmp_path, name, value, match):
     # eval and forecast used to fail later, on the normalized input or the split
@@ -259,6 +263,28 @@ def test_model_load_rejects_bad_norm_entries(tmp_path, name, value, match):
     save_model(path, params, **NORM)
     tensors = read_container(path)
     tensors[name] = np.asarray(value, dtype=np.float64)
+    write_container(path, tensors)
+    with pytest.raises(ContainerError, match=match) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name,value,match",
+    [
+        ("hyper/p", 1, "segment length p must be >= 2"),
+        ("hyper/d", 0, "d must be >= 1"),
+        ("protos/alpha", -1.0, "alpha must be finite and >= 0"),
+    ],
+)
+def test_model_load_reports_a_rejected_hyper_or_prototype_value_as_corrupt(
+    tmp_path, name, value, match
+):
+    path = tmp_path / "model.bin"
+    hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
+    save_model(path, init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0)), **NORM)
+    tensors = read_container(path)
+    tensors[name] = np.asarray(value, dtype=tensors[name].dtype)
     write_container(path, tensors)
     with pytest.raises(ContainerError, match=match) as info:
         load_model(path)

@@ -22,6 +22,7 @@ from focus_forecast.errors import ConfigError, NumericalError, ShapeError
 from focus_forecast.model import HyperParams, ModelParams, init_params, predict
 from focus_forecast.optim import OptimizerConfig
 from focus_forecast.training import (
+    EVAL_BATCH,
     backward,
     evaluate,
     gradient_check,
@@ -166,16 +167,16 @@ def test_loss_value_matches_mse_of_predict(tiny_model):
 
 
 def test_evaluate_batching_is_exact(tiny_model):
+    # two full batches and a short one, against one unbatched predict
     params, _, _ = tiny_model
+    n = 2 * EVAL_BATCH + 5
     rng = np.random.default_rng(21)
-    x = rng.standard_normal((10, HYPER.lookback, 3))
-    y = rng.standard_normal((10, HYPER.horizon, 3))
-    full = evaluate(params, x, y, batch_size=10)
-    chunked = evaluate(params, x, y, batch_size=3)
-    assert chunked[0] == pytest.approx(full[0], abs=1e-12)
-    assert chunked[1] == pytest.approx(full[1], abs=1e-12)
-    assert full[0] == pytest.approx(mse(predict(params, x), y), abs=1e-12)
-    assert full[1] == pytest.approx(mae(predict(params, x), y), abs=1e-12)
+    x = rng.standard_normal((n, HYPER.lookback, 3))
+    y = rng.standard_normal((n, HYPER.horizon, 3))
+    batched = evaluate(params, x, y)
+    pred = predict(params, x)
+    assert batched[0] == pytest.approx(mse(pred, y), abs=1e-12)
+    assert batched[1] == pytest.approx(mae(pred, y), abs=1e-12)
 
 
 # ---------------------------------------------------------------- train
