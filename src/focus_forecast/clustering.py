@@ -363,10 +363,10 @@ def fit(
             if (prev - total) < tol * max(abs(prev), 1e-12):
                 break
         adam.step({"prototypes": protos}, {"prototypes": grad})
-
-    idx = _closest_rows(segs, sq, unit, protos, alpha)[0]
-    total = _objective(_bucket_stats(segs, unit, idx, k), protos, alpha)[0]
-    if total < best_loss:
-        best_loss = total
-        best = protos.copy()
+    else:  # no early stop, so the last step's prototypes are not scored yet
+        idx = _closest_rows(segs, sq, unit, protos, alpha)[0]
+        total = _objective(_bucket_stats(segs, unit, idx, k), protos, alpha)[0]
+        if total < best_loss:
+            best_loss = total
+            best = protos.copy()
     return PrototypeSet(best, alpha, FitMeta(iters, best_loss, seed))

@@ -88,7 +88,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ParseError(f"{path}: malformed line (need key=value)", row=lineno)
+            raise ParseError(f"{path}: malformed line {lineno} (need key=value)")
         key, raw = stripped.split("=", 1)
         key = key.strip()
         if key in values:

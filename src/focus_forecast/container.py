@@ -155,8 +155,6 @@ def prototype_entries(protos: PrototypeSet, prefix: str = "") -> dict[str, np.nd
     return {
         f"{prefix}prototypes": protos.prototypes,
         f"{prefix}alpha": _scalar(protos.alpha, np.float64),
-        f"{prefix}p": _scalar(protos.p, np.int64),
-        f"{prefix}k": _scalar(protos.k, np.int64),
         f"{prefix}seed": _scalar(seed, np.int64),
     }
 
@@ -164,13 +162,7 @@ def prototype_entries(protos: PrototypeSet, prefix: str = "") -> dict[str, np.nd
 def _protos_from_entries(tensors, path, prefix: str = "") -> PrototypeSet:
     rows = np.asarray(_require(tensors, f"{prefix}prototypes", path), dtype=np.float64)
     alpha = float(_scalar_item(tensors, f"{prefix}alpha", path))
-    k = _int_item(tensors, f"{prefix}k", path)
-    p = _int_item(tensors, f"{prefix}p", path)
     seed = _int_item(tensors, f"{prefix}seed", path)
-    if rows.shape != (k, p):
-        raise ContainerError(
-            f"{path}: prototypes shaped {rows.shape}, but scalars say ({k}, {p})"
-        )
     # iterations/loss are not stored; only the seed survives a reload
     return _from_file(path, PrototypeSet, rows, alpha, FitMeta(0, float("nan"), seed))
 
@@ -183,7 +175,8 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
     return _protos_from_entries(read_container(path), path)
 
 
-HYPER_FIELDS = tuple(f.name for f in dataclasses.fields(HyperParams))
+# k and p are the prototype array's shape, so a file stores them only there
+HYPER_FIELDS = tuple(f.name for f in dataclasses.fields(HyperParams) if f.name not in ("k", "p"))
 
 
 def save_model(
@@ -209,19 +202,18 @@ def save_model(
 def load_model(path: str | Path):
     """Read a model file back as (params, (mean, std), ratio)."""
     tensors = read_container(path)
+    protos = _protos_from_entries(tensors, path, prefix="protos/")
     hyper = _from_file(
         path,
         HyperParams,
+        k=protos.k,
+        p=protos.p,
         **{name: _int_item(tensors, f"hyper/{name}", path) for name in HYPER_FIELDS},
     )
-    protos = _protos_from_entries(tensors, path, prefix="protos/")
     arrays = {}
     for name, _shape, _kind in _param_shapes(hyper):
         arrays[name] = np.asarray(_require(tensors, name, path), dtype=np.float64)
-    try:
-        params = params_from_arrays(hyper, protos, arrays)
-    except Exception as e:
-        raise ContainerError(f"{path}: {e}") from e
+    params = _from_file(path, params_from_arrays, hyper, protos, arrays)
     norm_stats = (_require(tensors, "norm/mean", path), _require(tensors, "norm/std", path))
     for name, arr in zip(("norm/mean", "norm/std"), norm_stats):
         if arr.shape != (hyper.n_entities,):

@@ -80,10 +80,6 @@ class SegmentMatrix:
     def n(self) -> int:
         return self.segments.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.segments.shape[1]
-
 
 def load_csv(path: str) -> TimeSeriesDataset:
     """Parse a UTF-8 CSV with a header row of entity names.
@@ -152,14 +148,11 @@ def _parse_csv_rows(reader, path: str) -> tuple[list[str], list[list[float]]]:
         raise ParseError(f"{path}: empty file, expected a header row") from None
     names = [h.strip() for h in header]
     if not names or any(n == "" for n in names):
-        raise ParseError(f"{path}: header row has empty entity names", row=1)
+        raise ParseError(f"{path}: header row has empty entity names")
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if len(row) != len(names):
-            raise ParseError(
-                f"{path}: row {lineno} has {len(row)} cells, expected {len(names)}",
-                row=lineno,
-            )
+            raise ParseError(f"{path}: row {lineno} has {len(row)} cells, expected {len(names)}")
         parsed = []
         for j, cell in enumerate(row):
             try:
@@ -167,15 +160,11 @@ def _parse_csv_rows(reader, path: str) -> tuple[list[str], list[list[float]]]:
             except ValueError:
                 raise ParseError(
                     f"{path}: row {lineno}, column '{names[j]}': "
-                    f"cannot parse {cell!r} as a real number",
-                    row=lineno,
-                    column=names[j],
+                    f"cannot parse {cell!r} as a real number"
                 ) from None
             if not math.isfinite(v):
                 raise ParseError(
-                    f"{path}: row {lineno}, column '{names[j]}': non-finite value {cell!r}",
-                    row=lineno,
-                    column=names[j],
+                    f"{path}: row {lineno}, column '{names[j]}': non-finite value {cell!r}"
                 )
             parsed.append(v)
         rows.append(parsed)

@@ -14,12 +14,8 @@ class ConfigError(FocusError):
 
 
 class ParseError(FocusError):
-    """Malformed input file (CSV or config)."""
-
-    def __init__(self, message: str, *, row: int | None = None, column: str | None = None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
+    """Malformed input file (CSV or config); the message names the file
+    and, where there is one, the line and column."""
 
 
 class ContainerError(FocusError):

@@ -204,6 +204,16 @@ def test_unknown_config_key(tmp_path):
     assert "flux_capacitor" in err
 
 
+def test_malformed_config_line_names_its_line(pipeline, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("k=4\n# a comment\nthis is not a pair\n")
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--alpha", "0.2", "--out", str(tmp_path / "p.bin"),
+                        "--config", str(cfg)])
+    assert code == 2
+    assert str(cfg) in err and "line 3" in err
+
+
 def test_missing_config_file(tmp_path):
     code, _, _ = run(["synth", "--out", str(tmp_path / "x.csv"), "--entities", "2",
                       "--steps", "100", "--k-true", "2", "--sigma", "0.1",
@@ -368,10 +378,10 @@ def test_eval_rejects_model_with_nan_std(pipeline, tmp_path):
     "name,value,match",
     [
         ("norm/ratio", np.array([0.5, 0.5, 0.5]), "split fractions must sum to 1"),
-        ("hyper/p", np.asarray(1, dtype=np.int64), "p must be >= 2"),
+        ("protos/prototypes", np.zeros((4, 1)), "p >= 2"),
         ("protos/alpha", np.asarray(-1.0), "alpha must be finite and >= 0"),
     ],
-    ids=["ratio-sum", "hyper-p", "alpha-negative"],
+    ids=["ratio-sum", "prototype-p", "alpha-negative"],
 )
 def test_eval_rejects_a_model_value_out_of_range_as_a_corrupt_file(
     pipeline, tmp_path, name, value, match

@@ -510,3 +510,24 @@ def test_loss_evaluation_time_scales_linearly():
     times = np.array([[eval_ns(case) for case in cases] for _ in range(7)])
     ratio = np.median(times[:, 1]) / np.median(times[:, 0])
     assert 1.6 <= ratio <= 2.4
+
+
+@pytest.mark.parametrize("max_iters, early", [(500, True), (12, False)])
+def test_fit_scores_each_prototype_state_once(monkeypatch, max_iters, early):
+    # an early stop has scored its last state already; only a fit that runs
+    # out of iterations scores the state its last step made, after the loop
+    sm, _ = _planted_segments(0)
+    calls, in_repairs = [], []
+    real, real_repair = clustering._closest_rows, clustering._repair_empty
+
+    def repair(*a):
+        before = len(calls)
+        out = real_repair(*a)
+        in_repairs.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(clustering, "_closest_rows", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(clustering, "_repair_empty", repair)
+    iters = fit(sm, 4, 0.2, max_iters=max_iters, seed=0).fit_meta.iterations
+    assert (iters < max_iters) == early
+    assert len(calls) - sum(in_repairs) == iters + (not early)

@@ -11,6 +11,7 @@ from focus_forecast.clustering import FitMeta, PrototypeSet
 from focus_forecast.container import (
     load_model,
     load_prototypes,
+    prototype_entries,
     read_container,
     save_model,
     save_prototypes,
@@ -168,19 +169,55 @@ def test_prototype_round_trip(tmp_path):
     assert np.isnan(back.fit_meta.final_loss)
 
 
-def test_prototype_scalar_consistency_check(tmp_path):
-    path = tmp_path / "protos.bin"
-    protos = PrototypeSet(np.zeros((2, 4)), alpha=0.0)
-    save_prototypes(path, protos)
-    tensors = read_container(path)
-    tensors["k"] = np.asarray(3, dtype=np.int64)
-    write_container(path, tensors)
-    with pytest.raises(ContainerError):
-        load_prototypes(path)
+def test_files_keep_k_and_p_only_as_the_prototype_shape(tmp_path):
+    hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
+    save_prototypes(tmp_path / "protos.bin", PrototypeSet(np.zeros((3, 4)), alpha=0.0))
+    save_model(
+        tmp_path / "model.bin", init_params(hyper, PrototypeSet(np.zeros((3, 4)), alpha=0.0)),
+        **NORM,
+    )
+    assert sorted(read_container(tmp_path / "protos.bin")) == ["alpha", "prototypes", "seed"]
+    model_names = set(read_container(tmp_path / "model.bin"))
+    assert {n for n in model_names if n.startswith(("hyper/", "protos/"))} == {
+        "hyper/d", "hyper/m", "hyper/lookback", "hyper/horizon", "hyper/n_entities",
+        "protos/alpha", "protos/prototypes", "protos/seed",
+    }
+
+
+def test_files_in_the_layout_with_k_and_p_entries_load_bit_identically(tmp_path):
+    # files written before k and p were dropped carry them as int64 scalars
+    rows = np.random.default_rng(4).standard_normal((3, 4))
+    protos = PrototypeSet(rows, alpha=0.3, fit_meta=FitMeta(7, 0.5, seed=9))
+    old = prototype_entries(protos) | {
+        "k": np.asarray(3, dtype=np.int64), "p": np.asarray(4, dtype=np.int64)
+    }
+    write_container(tmp_path / "protos.bin", old)
+    back = load_prototypes(tmp_path / "protos.bin")
+    assert back.prototypes.tobytes() == rows.tobytes()
+    assert (back.alpha, back.fit_meta.seed) == (0.3, 9)
+
+    hyper = HyperParams(p=4, d=8, m=2, k=3, lookback=16, horizon=4, n_entities=2)
+    params = init_params(hyper, protos, seed=2)
+    mean, std = np.array([0.5, -1.0]), np.array([2.0, 0.25])
+    save_model(tmp_path / "new.bin", params, norm_stats=(mean, std), ratio=(0.6, 0.15, 0.25))
+    tensors = read_container(tmp_path / "new.bin")
+    for name in ("protos/k", "hyper/k"):
+        tensors[name] = np.asarray(3, dtype=np.int64)
+    for name in ("protos/p", "hyper/p"):
+        tensors[name] = np.asarray(4, dtype=np.int64)
+    write_container(tmp_path / "old.bin", tensors)
+    back, (back_mean, back_std), ratio = load_model(tmp_path / "old.bin")
+    assert back.hyper == hyper
+    assert back.protos.prototypes.tobytes() == rows.tobytes()
+    assert back.protos.alpha == 0.3
+    for name, arr in params.arrays().items():
+        assert back.arrays()[name].tobytes() == arr.tobytes()
+    assert back_mean.tobytes() == mean.tobytes() and back_std.tobytes() == std.tobytes()
+    assert ratio == (0.6, 0.15, 0.25)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
-@pytest.mark.parametrize("name", ["hyper/p", "protos/k", "protos/seed"])
+@pytest.mark.parametrize("name", ["hyper/d", "protos/seed"])
 def test_model_load_rejects_integer_field_that_is_not_whole(tmp_path, name, value):
     # int() of a float NaN or infinity raised ValueError/OverflowError
     path = tmp_path / "model.bin"
@@ -272,7 +309,7 @@ def test_model_load_rejects_bad_norm_entries(tmp_path, name, value, match):
 @pytest.mark.parametrize(
     "name,value,match",
     [
-        ("hyper/p", 1, "segment length p must be >= 2"),
+        ("protos/prototypes", np.zeros((3, 1)), r"need k >= 1 and p >= 2, got k=3, p=1"),
         ("hyper/d", 0, "d must be >= 1"),
         ("protos/alpha", -1.0, "alpha must be finite and >= 0"),
     ],

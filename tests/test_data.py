@@ -45,13 +45,13 @@ def test_load_csv_empty_file(tmp_path):
 def test_load_csv_ragged_row_names_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(write(tmp_path, "a,b\n1,2\n3\n"))
-    assert exc.value.row == 3
+    assert "row 3 has 1 cells" in str(exc.value)
 
 
 def test_load_csv_rejects_nan_cell(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(write(tmp_path, "a,b\n1,NaN\n"))
-    assert exc.value.column == "b"
+    assert "row 2, column 'b'" in str(exc.value)
 
 
 @pytest.mark.parametrize(
@@ -65,7 +65,7 @@ def test_load_csv_rejects_nan_cell(tmp_path):
 def test_load_csv_names_the_row_loadtxt_would_misread(tmp_path, text, row):
     with pytest.raises(ParseError) as exc:
         load_csv(write(tmp_path, text))
-    assert exc.value.row == row
+    assert f"row {row}" in str(exc.value)
 
 
 def test_load_csv_reads_quoted_names_as_the_csv_module_does(tmp_path):

@@ -427,3 +427,28 @@ def test_forecast_window_rejects_batched_input():
             np.zeros((1, HYPER.lookback, HYPER.n_entities)),
             (np.zeros(HYPER.n_entities), np.ones(HYPER.n_entities)),
         )
+
+
+def test_prototype_values_reach_a_branch_only_through_the_assignment():
+    # at k <= p <= d, any full-rank P' with a matching w_e' gives the same
+    # queries P' w_in w_e' w_k^T w_in^T, so the same assignment gives the
+    # same branch output whatever the prototype values are
+    assert HYPER.k <= HYPER.p <= HYPER.d
+    params = make_params()
+    arrays = params.arrays()
+    x = np.random.default_rng(6).standard_normal((3, HYPER.lookback, HYPER.n_entities))
+    raw, idx = model_module._segment(params, x)
+    w_in, w_k = arrays["w_in"], arrays["t_wk"]
+    p_old = params.protos.prototypes
+    p_new = np.random.default_rng(12).standard_normal((HYPER.k, HYPER.p))
+    q_raw = p_old @ w_in @ arrays["t_we"] @ w_k.T @ w_in.T
+    w_e = np.linalg.pinv(w_in) @ np.linalg.pinv(p_new) @ q_raw @ np.linalg.pinv(w_in.T)
+    w_e = w_e @ np.linalg.inv(w_k.T)
+    swapped = params_from_arrays(
+        HYPER, PrototypeSet(p_new, alpha=0.2), arrays | {"t_we": w_e}
+    )
+    with no_grad():
+        want = model_module._branch(params, raw, idx, "t").scaled.data
+        got = model_module._branch(swapped, raw, idx, "t").scaled.data
+    assert not np.allclose(nearest(raw, swapped.protos), idx)  # P' would assign otherwise
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

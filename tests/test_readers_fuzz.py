@@ -163,7 +163,7 @@ def _outcome(read, path):
     try:
         ds = read(path)
     except ParseError as e:
-        return str(e), e.row, e.column
+        return str(e)
     return ds.entity_names, ds.values.shape, ds.values.tobytes()
 
 

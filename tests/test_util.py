@@ -60,6 +60,3 @@ def test_require_finite_raises(bad):
 def test_error_hierarchy():
     for cls in (ConfigError, ParseError, ContainerError, ShapeError, NumericalError):
         assert issubclass(cls, FocusError)
-    e = ParseError("bad line", row=3, column="b")
-    assert e.row == 3 and e.column == "b"
-    assert ParseError("no location").row is None
