@@ -309,7 +309,11 @@ def test_model_load_rejects_bad_norm_entries(tmp_path, name, value, match):
 @pytest.mark.parametrize(
     "name,value,match",
     [
-        ("protos/prototypes", np.zeros((3, 1)), r"need k >= 1 and p >= 2, got k=3, p=1"),
+        # p is read from the prototype width, so a p of 1 is a (3, 1) prototype array
+        pytest.param(
+            "protos/prototypes", np.zeros((3, 1)), r"need k >= 1 and p >= 2, got k=3, p=1",
+            id="hyper/p-1-as-prototype-width",
+        ),
         ("hyper/d", 0, "d must be >= 1"),
         ("protos/alpha", -1.0, "alpha must be finite and >= 0"),
     ],
