@@ -4,25 +4,42 @@ Alternates hard bucket assignment under a composite metric (squared
 Euclidean distance plus a weighted Pearson-correlation penalty) with AdamW
 refinement of the prototypes against a reconstruction + correlation loss.
 
-The segments never change during a fit, so `fit` computes their squared
-norms and centred-unit rows once and every distance, assignment and
-bucket-statistics pass reuses them. Loss and gradient come from one
-pass, `_objective`, over each iteration's one set of bucket statistics.
-Bucket sums are one flat `np.bincount` per array, which adds the rows in
-segment order and so equals `np.add.at` bit for bit. The public functions
-run the same arithmetic on invariants they compute per call, so they
-equal `fit`'s internal path bit for bit.
+The segments never change during a fit, so `fit` builds one feature
+array once, `_features_t`: the rows and their centred-unit rows,
+transposed to (2p, n). Every assignment and bucket-statistics pass reads
+it. Loss and gradient come from one pass, `_objective`, over each
+iteration's one set of bucket statistics. The public functions build the
+same features from the segments per call, so they equal `fit`'s internal
+path bit for bit.
 
-Assignment never builds the full (n, k) distance matrix. `_closest_rows`
-splits the rows into ceil(n / 2048) near-equal blocks, so each block's
-distances and temporaries stay in cache, and keeps only each row's
-nearest index and its distance to it. The prototype-side terms are
-computed once per call, not per block. Blocking keeps the bits: every
-row's distances are the same GEMM row and the same elementwise ops as in
-`distance_matrix`. That holds only while no block has exactly one row of
-several: OpenBLAS sends a one-row product through gemv, whose sums can
-differ in the last bit from the GEMM row. Near-equal blocks have more
-than 1,024 rows whenever there are two or more.
+Assignment ranks prototypes by a score, not by their distance. For a
+row s with centred-unit row u, the distance to prototype c (centred-unit
+row v) is ||s||^2 - 2 s.c + ||c||^2 + alpha - alpha u.v. The terms ||s||^2
+and alpha are the same for every prototype, so they cannot move the
+argmin, and `_closest_rows` takes the argmin of
+
+    score = [s, u] @ [-2 P^T ; -alpha V^T] + ||c||^2,
+
+one GEMM over the 2p features and one add. The score rounds in another
+order than `distance_matrix`, and it drops the clamp max(., 0) that
+`distance_matrix` puts on the Euclidean part; the clamp acts only when
+||s - c||^2 rounds below zero, that is, when s equals c to rounding. So
+the chosen index can differ from the argmin of `distance_matrix` only
+between prototypes whose distances agree to rounding.
+
+Rows are scored in ceil(n / 2048) near-equal blocks, so no (n, k) matrix
+is built and each block's scores stay in cache. `fit` and `nearest` cut
+the same blocks, so they choose the same indices. Near-equal blocks have
+more than 1,024 rows whenever there are two or more, because OpenBLAS
+sends a one-row product through gemv: its sums can differ in the last
+bit from the GEMM row, and equal prototype columns can score a last bit
+apart. So a lone row (n = 1) is scored as two.
+
+Bucket sums are one `np.bincount(idx, weights=row)` per feature row,
+which adds the segments in order and so equals `np.add.at` bit for bit.
+True distances (`_distances`) are computed only to seed prototypes, to
+re-seed an empty bucket and in `distance_matrix`. The re-seed computes
+them block by block, which gives `distance_matrix`'s rows bit for bit.
 """
 
 from __future__ import annotations
@@ -152,35 +169,45 @@ def distance_matrix(segments: np.ndarray, protos: np.ndarray, alpha: float) -> n
     )
 
 
-def _closest_rows(
-    segments: np.ndarray, sq: np.ndarray | None, unit: np.ndarray | None,
-    protos: np.ndarray, alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's nearest prototype (lowest index on ties) and its distance
-    to it, (n,) int64 and (n,) float64, block by block.
-
-    sq and unit are the rows' squared norms and centred-unit rows; pass
-    None to compute them per block, so no (n, p) temporary is built.
-    """
-    terms = _proto_terms(protos)
-    n = segments.shape[0]
-    idx = np.empty(n, dtype=np.int64)
-    own = np.empty(n)
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) of ceil(n / 2048) near-equal row blocks: none has one row
+    unless n does."""
     blocks = max(1, -(-n // _BLOCK_ROWS))
-    edges = [n * b // blocks for b in range(blocks + 1)]  # near-equal: no 1-row block
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = segments[lo:hi]
-        d = _distances(
-            rows,
-            _sq_norms(rows) if sq is None else sq[lo:hi],
-            _center_unit(rows) if unit is None else unit[lo:hi],
-            terms,
-            alpha,
-        )
-        best = np.argmin(d, axis=1)  # argmin takes the lowest index on ties
-        idx[lo:hi] = best
-        own[lo:hi] = d[np.arange(hi - lo), best]
-    return idx, own
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _features_t(rows: np.ndarray) -> np.ndarray:
+    """The (n, p) rows and their centred-unit rows, transposed: (2p, n).
+    Built block by block, so no (n, p) temporary sits beside it."""
+    n, p = rows.shape
+    out = np.empty((2 * p, n))
+    for lo, hi in _blocks(n):
+        out[:p, lo:hi] = rows[lo:hi].T
+        out[p:, lo:hi] = _center_unit(rows[lo:hi]).T
+    return out
+
+
+def _closest_rows(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> np.ndarray:
+    """Each row's nearest prototype, (n,) int64, from its `_features_t`
+    column; the lowest index wins ties.
+
+    Takes the argmin of the score -2 s.c - alpha u.v + ||c||^2, block by
+    block; see the module docstring. It can differ from the argmin of
+    `distance_matrix` only between prototypes whose distances agree to
+    rounding.
+    """
+    w = np.concatenate([-2.0 * protos.T, -alpha * _center_unit(protos).T])  # (2p, k)
+    norms = _sq_norms(protos)
+    idx = np.empty(feats_t.shape[1], dtype=np.int64)
+    for lo, hi in _blocks(feats_t.shape[1]):
+        f = feats_t[:, lo:hi]
+        if hi - lo == 1:  # two rows take the GEMM path, whose equal columns score equal
+            f = np.repeat(f, 2, axis=1)
+        d = f.T @ w
+        d += norms
+        idx[lo:hi] = np.argmin(d[: hi - lo], axis=1)  # the lowest index wins ties
+    return idx
 
 
 def _sizes(idx: np.ndarray, k: int) -> np.ndarray:
@@ -194,7 +221,9 @@ def nearest(segments: np.ndarray, protos: PrototypeSet) -> np.ndarray:
     if segments.shape[-1:] != (protos.p,):
         raise ShapeError(f"segments must be (..., {protos.p}), got {segments.shape}")
     rows = segments.reshape(-1, protos.p)
-    idx = _closest_rows(rows, None, None, protos.prototypes, protos.alpha)[0]
+    idx = np.empty(rows.shape[0], dtype=np.int64)
+    for lo, hi in _blocks(rows.shape[0]):
+        idx[lo:hi] = _closest_rows(_features_t(rows[lo:hi]), protos.prototypes, protos.alpha)
     return idx.reshape(segments.shape[:-1])
 
 
@@ -204,18 +233,15 @@ def assign(segments: SegmentMatrix, protos: PrototypeSet) -> BucketState:
     return BucketState(assignment=idx, bucket_sizes=_sizes(idx, protos.k))
 
 
-def _bucket_stats(segments: np.ndarray, unit: np.ndarray, idx: np.ndarray, k: int):
+def _bucket_stats(feats_t: np.ndarray, idx: np.ndarray, k: int):
     """Per-bucket counts, segment sums, and sums of centered-unit rows.
 
-    Each sum is one bincount over flat (bucket, column) bins, which adds
-    rows in segment order: the same additions as np.add.at, far cheaper.
+    Each sum is one bincount per `_features_t` row, which adds the rows in
+    segment order: the same additions as np.add.at, far cheaper.
     """
-    p = segments.shape[1]
-    counts = _sizes(idx, k).astype(np.float64)
-    bins = (idx[:, None] * p + np.arange(p)).ravel()
-    sums = np.bincount(bins, weights=segments.ravel(), minlength=k * p).reshape(k, p)
-    unit_sums = np.bincount(bins, weights=unit.ravel(), minlength=k * p).reshape(k, p)
-    return counts, sums, unit_sums
+    p = feats_t.shape[0] // 2
+    cols = [np.bincount(idx, weights=row, minlength=k) for row in feats_t]
+    return _sizes(idx, k).astype(np.float64), np.stack(cols[:p], 1), np.stack(cols[p:], 1)
 
 
 def _objective(stats, protos: np.ndarray, alpha: float):
@@ -246,8 +272,7 @@ def _objective(stats, protos: np.ndarray, alpha: float):
 
 
 def _public_objective(segments: SegmentMatrix, protos: PrototypeSet, buckets: BucketState):
-    segs = segments.segments
-    stats = _bucket_stats(segs, _center_unit(segs), buckets.assignment, protos.k)
+    stats = _bucket_stats(_features_t(segments.segments), buckets.assignment, protos.k)
     return _objective(stats, protos.prototypes, protos.alpha)
 
 
@@ -271,8 +296,7 @@ def clustering_loss_grad(
 
 
 def _init_prototypes(
-    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, k: int, alpha: float,
-    rng: np.random.Generator,
+    segments: np.ndarray, k: int, alpha: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy farthest-point seeding under the composite metric.
 
@@ -281,6 +305,9 @@ def _init_prototypes(
     clusters each receive a starting prototype.
     """
     n = segments.shape[0]
+    sq, unit = _sq_norms(segments), np.empty_like(segments)
+    for lo, hi in _blocks(n):  # per-row arithmetic: one whole call's bits, no (n, p) temporary
+        unit[lo:hi] = _center_unit(segments[lo:hi])
     chosen = [int(rng.integers(n))]
     d = _distances(segments, sq, unit, _proto_terms(segments[chosen]), alpha)[:, 0]
     d[chosen[0]] = -np.inf
@@ -294,20 +321,24 @@ def _init_prototypes(
 
 
 def _repair_empty(
-    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, protos: np.ndarray,
-    alpha: float, idx: np.ndarray, own: np.ndarray,
+    segments: np.ndarray, feats_t: np.ndarray, protos: np.ndarray, alpha: float,
+    idx: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Re-seed empty buckets to the segments farthest from their prototype.
-
-    idx and own are each segment's nearest prototype and its distance to it.
-    """
+    """Re-seed empty buckets to the segments farthest from their prototype
+    under `distance_matrix`; idx is each segment's nearest prototype."""
     empties = np.flatnonzero(_sizes(idx, protos.shape[0]) == 0)
     if empties.size == 0:
         return protos, idx
+    terms = _proto_terms(protos)
+    own = np.empty(segments.shape[0])
+    for lo, hi in _blocks(segments.shape[0]):  # distance_matrix's rows, block by block
+        rows = segments[lo:hi]
+        d = _distances(rows, _sq_norms(rows), _center_unit(rows), terms, alpha)
+        own[lo:hi] = d[np.arange(hi - lo), idx[lo:hi]]
     order = np.argsort(-own, kind="stable")
     protos = protos.copy()
     protos[empties] = segments[order[: empties.size]]
-    return protos, _closest_rows(segments, sq, unit, protos, alpha)[0]
+    return protos, _closest_rows(feats_t, protos, alpha)
 
 
 def fit(
@@ -341,8 +372,8 @@ def fit(
         raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
     rng = seed_stream(seed, "init")
     adam = AdamW(replace(CLUSTER_OPT_DEFAULTS, lr=lr))
-    sq, unit = _sq_norms(segs), _center_unit(segs)
-    protos = _init_prototypes(segs, sq, unit, k, alpha, rng)
+    protos = _init_prototypes(segs, k, alpha, rng)
+    feats = _features_t(segs)  # after seeding, whose (n, p) unit rows are freed by now
 
     losses: list[float] = []
     best_loss = np.inf
@@ -351,9 +382,9 @@ def fit(
     for it in range(max_iters):
         iters = it + 1
         protos, idx = _repair_empty(
-            segs, sq, unit, protos, alpha, *_closest_rows(segs, sq, unit, protos, alpha)
+            segs, feats, protos, alpha, _closest_rows(feats, protos, alpha)
         )
-        total, _, _, grad = _objective(_bucket_stats(segs, unit, idx, k), protos, alpha)
+        total, _, _, grad = _objective(_bucket_stats(feats, idx, k), protos, alpha)
         losses.append(total)
         if total < best_loss:
             best_loss = total
@@ -364,8 +395,8 @@ def fit(
                 break
         adam.step({"prototypes": protos}, {"prototypes": grad})
     else:  # no early stop, so the last step's prototypes are not scored yet
-        idx = _closest_rows(segs, sq, unit, protos, alpha)[0]
-        total = _objective(_bucket_stats(segs, unit, idx, k), protos, alpha)[0]
+        idx = _closest_rows(feats, protos, alpha)
+        total = _objective(_bucket_stats(feats, idx, k), protos, alpha)[0]
         if total < best_loss:
             best_loss = total
             best = protos.copy()

@@ -157,13 +157,46 @@ def test_closest_rows_equals_argmin_of_the_full_distance_matrix(n, k, p):
     rng = np.random.default_rng(n * 1000 + k * 10 + p)
     segs = rng.standard_normal((n, p))
     protos = rng.standard_normal((k, p))
-    d = distance_matrix(segs, protos, 0.2)
-    want = np.argmin(d, axis=1)
-    sq, unit = clustering._sq_norms(segs), clustering._center_unit(segs)
-    for got in (clustering._closest_rows(segs, sq, unit, protos, 0.2),
-                clustering._closest_rows(segs, None, None, protos, 0.2)):
-        assert np.array_equal(got[0], want)
-        assert np.array_equal(got[1], d[np.arange(n), want])
+    want = np.argmin(distance_matrix(segs, protos, 0.2), axis=1)
+    feats = clustering._features_t(segs)
+    assert np.array_equal(clustering._closest_rows(feats, protos, 0.2), want)
+    assert np.array_equal(nearest(segs, PrototypeSet(protos, 0.2)), want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("n", [2047, 2049, 4097, 6145])
+def test_fit_and_nearest_features_choose_the_same_indices(n, alpha):
+    # fit scores one whole-array feature array, nearest builds the features
+    # block by block; rows at the midpoint of two prototypes tie in exact
+    # arithmetic at alpha=0, so there rounding alone picks the index
+    rng = np.random.default_rng(n)
+    protos = rng.standard_normal((16, 16))
+    pairs = rng.integers(0, 16, size=(n, 2))
+    segs = (protos[pairs[:, 0]] + protos[pairs[:, 1]]) / 2.0
+    segs[::3] += rng.normal(0.0, 0.1, size=segs[::3].shape)
+    whole = clustering._features_t(segs)
+    for lo, hi in clustering._blocks(n):
+        assert whole[:, lo:hi].tobytes() == clustering._features_t(segs[lo:hi]).tobytes()
+    got = clustering._closest_rows(whole, protos, alpha)
+    assert got.tobytes() == nearest(segs, PrototypeSet(protos, alpha)).tobytes()
+
+
+def test_duplicate_prototype_rows_resolve_to_the_lowest_index():
+    # 21 rows holding 5 distinct prototypes, with copies in the product's
+    # edge columns. A lone row would go through gemv, whose equal columns
+    # can score a last bit apart; scored that way, about 1 in 40 of these
+    # single rows chose a later copy
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((5, 17))
+    order = np.array([2, 1, 2, 0, 2, 0, 1, 4, 2, 0, 2, 0, 2, 1, 2, 3, 1, 1, 0, 3, 3])
+    first = np.array([np.flatnonzero(order == b)[0] for b in range(5)])
+    dup, distinct = PrototypeSet(base[order], alpha=0.2), PrototypeSet(base, alpha=0.2)
+    segs = base[rng.integers(0, 5, size=2049)]
+    segs[1::2] += rng.normal(0.0, 0.3, size=segs[1::2].shape)
+    for rows in (segs, segs[:2], segs[:5]):
+        assert nearest(rows, dup).tolist() == first[nearest(rows, distinct)].tolist()
+    for row in segs[:400]:
+        assert nearest(row, dup) == first[nearest(row, distinct)]
 
 
 def test_nearest_never_holds_a_full_distance_matrix():
@@ -172,6 +205,15 @@ def test_nearest_never_holds_a_full_distance_matrix():
     protos = PrototypeSet(rng.standard_normal((16, 16)), alpha=0.2)
     peak = traced_peak_bytes(lambda: nearest(x, protos))
     assert peak < 100_000 * 16 * 8
+
+
+def test_fit_peak_memory_stays_within_its_bound():
+    # fit keeps one (2p, n) feature array; seeding's (n, p) centred-unit
+    # rows are freed before it is built (2.17x the segments at this size)
+    x = np.random.default_rng(13).standard_normal((100_000, 16))
+    sm = make_segments(x)
+    peak = traced_peak_bytes(lambda: fit(sm, 16, 0.2, max_iters=3, tol=float("-inf"), seed=0))
+    assert peak <= 3.2 * x.nbytes
 
 
 # ------------------------------------------------------------------ loss
@@ -242,7 +284,7 @@ def test_bucket_sums_equal_add_at_bit_for_bit():
     idx = rng.integers(0, 3, size=n)
     idx[123] = 4
     unit = clustering._center_unit(segs)
-    counts, sums, unit_sums = clustering._bucket_stats(segs, unit, idx, 5)
+    counts, sums, unit_sums = clustering._bucket_stats(clustering._features_t(segs), idx, 5)
     want_sums = np.zeros((5, 16))
     np.add.at(want_sums, idx, segs)
     want_unit = np.zeros((5, 16))
@@ -466,6 +508,30 @@ def test_fit_equals_loop_of_public_calls_bit_for_bit():
     assert out.prototypes.tobytes() == best.tobytes()
     assert out.fit_meta.final_loss == best_loss
     assert out.fit_meta.iterations == 12
+
+
+def test_fit_reseeds_empty_buckets_at_the_farthest_segments_under_distance_matrix(monkeypatch):
+    # 3,000 noiseless copies of 4 templates (two assignment blocks), k=6
+    templates = generate_synthetic(4, 800, 4, 0.0, seed=5).templates
+    sm = make_segments(templates[np.random.default_rng(0).integers(0, 4, size=3000)])
+    real, seen = clustering._repair_empty, []
+
+    def repair(segs, feats_t, protos, alpha, idx):
+        out = real(segs, feats_t, protos, alpha, idx)
+        seen.append((protos.copy(), idx.copy(), out[0].copy()))
+        return out
+
+    monkeypatch.setattr(clustering, "_repair_empty", repair)
+    fit(sm, 6, 0.2, max_iters=12, tol=float("-inf"), seed=1)
+    repairs = 0
+    for protos, idx, got in seen:
+        empties = np.flatnonzero(np.bincount(idx, minlength=6) == 0)
+        own = distance_matrix(sm.segments, protos, 0.2)[np.arange(sm.n), idx]
+        want = protos.copy()
+        want[empties] = sm.segments[np.argsort(-own, kind="stable")[: empties.size]]
+        assert got.tobytes() == want.tobytes()
+        repairs += empties.size
+    assert repairs > 0
 
 
 @pytest.mark.parametrize("iters", [0, 25])
