@@ -40,6 +40,43 @@ which adds the segments in order and so equals `np.add.at` bit for bit.
 True distances (`_distances`) are computed only to seed prototypes, to
 re-seed an empty bucket and in `distance_matrix`. The re-seed computes
 them block by block, which gives `distance_matrix`'s rows bit for bit.
+
+One AdamW step moves the prototypes little, so from its second
+iteration on `fit` scores again only the rows a step can move
+(`_rescore`), and its indices still equal `_closest_rows`' bit for bit.
+Write a row's score for prototype j as f.w_j + n_j, with f = [s, u], w_j
+the j-th column of the weights above and n_j = ||c_j||^2. A step moves it
+by f.dw_j + dn_j, at most ||f|| ||dw_j|| + |dn_j| by Cauchy-Schwarz, and
+||f|| <= sqrt(||s||^2 + 1) is computed once per fit. So each row keeps
+its gap, second-best minus best score, from its last scoring, less
+2 (||f|| max_j ||dw_j|| + max_j |dn_j|) for every step since, rounded
+down. A row whose gap is still above tau keeps its index.
+
+tau bounds rounding. In any order of summation a computed score is
+within (2p + 1) u (||f|| ||w_j|| + n_j) of f.w_j + n_j, where u = 2^-53,
+so within eps = (2p + 2) u (||f|| W + N), where W and N are the largest
+||w_j|| and n_j since the last full pass (which covers the row's last
+scoring). The recorded gap and a full pass each err by at most 2 eps, so
+a gap above 4 eps, about 8.9e-16 (p + 1) (||f|| W + N), leaves the full
+pass's argmin where it was, with no tie. `_rescore` takes
+tau = 1e-12 (p + 1) (||f|| W + N), about 1,100 times that, which also
+covers the rounding of the bound itself.
+
+The rows at or below tau are scored again in gathers of at most 2,048
+columns. OpenBLAS can round a gathered row otherwise than the same row
+inside its block (its small-matrix path), but within eps per score, so a
+fresh gap above tau gives the block's index too. A row whose fresh gap is
+not above tau, as at duplicate prototypes or at a midpoint at alpha = 0,
+takes its index from its own block, scored as `_closest_rows` scores it.
+The first iteration, and the first after an empty bucket is re-seeded,
+score every row that way.
+
+A bucket's sums depend only on its members and their order. So
+`_restats` keeps the last statistics when no index changed, and
+otherwise sums again only the buckets that gained or lost a row, with one
+`bincount` per feature row over their members in segment order: the
+same additions as `_bucket_stats`, in the same order. When those buckets
+hold more than half the rows, one `_bucket_stats` pass costs less.
 """
 
 from __future__ import annotations
@@ -62,6 +99,7 @@ DEFAULT_MAX_ITERS = 500
 DEFAULT_TOL = 1e-5
 _TOL_WINDOW = 10
 _BLOCK_ROWS = 2048  # rows per assignment block: 2048 x 16 float64 is 256 KiB
+_TAU = 1e-12  # the rescore threshold per unit of (p + 1) x score scale; see above
 
 
 @dataclass(frozen=True)
@@ -210,6 +248,105 @@ def _closest_rows(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> np.n
     return idx
 
 
+def _score_terms(protos: np.ndarray, alpha: float):
+    """`_closest_rows`' score weights [-2 P^T ; -alpha V^T], (2p, k), and
+    ||c||^2, computed as it computes them."""
+    return np.concatenate([-2.0 * protos.T, -alpha * _center_unit(protos).T]), _sq_norms(protos)
+
+
+def _block_scores(feats_t: np.ndarray, lo: int, hi: int, w: np.ndarray, norms: np.ndarray):
+    """The scores of the `_blocks` block lo:hi, (hi - lo, k), computed as
+    `_closest_rows` computes them, so their argmin is its index."""
+    f = feats_t[:, lo:hi]
+    if hi - lo == 1:
+        f = np.repeat(f, 2, axis=1)
+    d = f.T @ w
+    d += norms
+    return d[: hi - lo]
+
+
+def _best_two(d: np.ndarray):
+    """Each row's argmin, the lowest index on ties, and its second-best
+    minus best score (inf when k = 1); overwrites d."""
+    idx = np.argmin(d, axis=1)
+    rows = np.arange(d.shape[0])
+    best = d[rows, idx]
+    d[rows, idx] = np.inf
+    second = d[:, 0].copy()
+    for col in d.T[1:]:  # d.min(axis=1) runs numpy's inner loop once per k-wide row
+        np.minimum(second, col, out=second)
+    return idx, second - best
+
+
+@dataclass(frozen=True)
+class _Scoring:
+    """Each row's nearest prototype under the score weights w and norms,
+    and a lower bound on its gap, second-best minus best score."""
+
+    idx: np.ndarray  # (n,) int64
+    gap: np.ndarray  # (n,)
+    w: np.ndarray  # (2p, k)
+    norms: np.ndarray  # (k,)
+    w_max: float  # the largest ||w_j|| since the last full pass
+    norm_max: float  # the largest ||c_j||^2 since the last full pass
+
+
+def _feature_norms(feats_t: np.ndarray) -> np.ndarray:
+    """sqrt(||s||^2 + 1) per `_features_t` column, which bounds ||[s, u]||
+    since ||u|| <= 1; summed row by row, with no (2p, n) temporary."""
+    p = feats_t.shape[0] // 2
+    return np.sqrt(np.einsum("ij,ij->j", feats_t[:p], feats_t[:p]) + 1.0)
+
+
+def _decayed_gaps(last: _Scoring, fnorm: np.ndarray, w: np.ndarray, norms: np.ndarray,
+                  w_max: float, norm_max: float):
+    """Each row's gap under the score weights w and norms, bounded below
+    from its last scoring, and the threshold tau above which its index
+    cannot change; see the module docstring."""
+    dw = np.linalg.norm(w - last.w, axis=0).max()
+    dn = np.abs(norms - last.norms).max()
+    gap = last.gap - 2.0 * (fnorm * dw + dn)
+    gap *= 1.0 - 2.0**-52  # a positive gap one ulp down, below the exact difference
+    tau = _TAU * (w.shape[0] // 2 + 1) * (fnorm * w_max + norm_max)
+    return gap, tau
+
+
+def _rescore(
+    feats_t: np.ndarray, fnorm: np.ndarray, protos: np.ndarray, alpha: float,
+    last: _Scoring | None,
+) -> _Scoring:
+    """`_closest_rows(feats_t, protos, alpha)` bit for bit, with each row's
+    score gap; fnorm is `_feature_norms(feats_t)`. Given the last scoring,
+    only the rows whose gap the step may have closed are scored again;
+    without one, every row is, block by block as in `_closest_rows`.
+    """
+    n = feats_t.shape[1]
+    w, norms = _score_terms(protos, alpha)
+    w_max, norm_max = float(np.linalg.norm(w, axis=0).max()), float(norms.max())
+    if last is None:
+        idx, gap = np.empty(n, dtype=np.int64), np.empty(n)
+        for lo, hi in _blocks(n):
+            idx[lo:hi], gap[lo:hi] = _best_two(_block_scores(feats_t, lo, hi, w, norms))
+        return _Scoring(idx, gap, w, norms, w_max, norm_max)
+    w_max, norm_max = max(w_max, last.w_max), max(norm_max, last.norm_max)
+    gap, tau = _decayed_gaps(last, fnorm, w, norms, w_max, norm_max)
+    idx = last.idx.copy()
+    stale = np.flatnonzero(~(gap > tau))  # NaN too
+    for lo in range(0, stale.size, _BLOCK_ROWS):
+        rows = stale[lo : lo + _BLOCK_ROWS]
+        d = feats_t[:, rows].T @ w
+        d += norms
+        idx[rows], gap[rows] = _best_two(d)
+    near = stale[~(gap[stale] > tau[stale])]  # near ties: the block's own product decides
+    if near.size:
+        for lo, hi in _blocks(n):
+            rows = near[np.searchsorted(near, lo) : np.searchsorted(near, hi)]
+            if rows.size:
+                d = _block_scores(feats_t, lo, hi, w, norms)[rows - lo]
+                idx[rows], gap[rows] = _best_two(d)
+    return _Scoring(idx, gap, w, norms, w_max, norm_max)
+
+
 def _sizes(idx: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(idx, minlength=k).astype(np.int64)
 
@@ -242,6 +379,33 @@ def _bucket_stats(feats_t: np.ndarray, idx: np.ndarray, k: int):
     p = feats_t.shape[0] // 2
     cols = [np.bincount(idx, weights=row, minlength=k) for row in feats_t]
     return _sizes(idx, k).astype(np.float64), np.stack(cols[:p], 1), np.stack(cols[p:], 1)
+
+
+def _restats(feats_t: np.ndarray, idx: np.ndarray, k: int, held):
+    """`_bucket_stats(feats_t, idx, k)` bit for bit. held is None or an
+    earlier assignment and its statistics; then only the buckets that
+    gained or lost a row are summed again, over their members in segment
+    order, which makes each sum's additions in `_bucket_stats`' order."""
+    if held is None:
+        return _bucket_stats(feats_t, idx, k)
+    last_idx, last = held
+    moved = np.flatnonzero(idx != last_idx)
+    if moved.size == 0:
+        return last
+    changed = np.zeros(k, dtype=bool)
+    changed[idx[moved]] = changed[last_idx[moved]] = True
+    members = np.flatnonzero(changed[idx])
+    if 2 * members.size > idx.size:  # then one pass over every row costs less
+        return _bucket_stats(feats_t, idx, k)
+    buckets = np.flatnonzero(changed)
+    local = (np.cumsum(changed) - 1)[idx[members]]
+    counts, sums, unit_sums = (a.copy() for a in last)
+    counts[buckets] = np.bincount(local, minlength=buckets.size)
+    p = sums.shape[1]
+    for r, row in enumerate(feats_t):  # one gathered row at a time
+        col = np.bincount(local, weights=row[members], minlength=buckets.size)
+        (sums if r < p else unit_sums)[buckets, r % p] = col
+    return counts, sums, unit_sums
 
 
 def _objective(stats, protos: np.ndarray, alpha: float):
@@ -374,17 +538,22 @@ def fit(
     adam = AdamW(replace(CLUSTER_OPT_DEFAULTS, lr=lr))
     protos = _init_prototypes(segs, k, alpha, rng)
     feats = _features_t(segs)  # after seeding, whose (n, p) unit rows are freed by now
+    fnorm = _feature_norms(feats)
 
     losses: list[float] = []
     best_loss = np.inf
     best = protos.copy()
     iters = 0
+    scored = held = None
     for it in range(max_iters):
         iters = it + 1
-        protos, idx = _repair_empty(
-            segs, feats, protos, alpha, _closest_rows(feats, protos, alpha)
-        )
-        total, _, _, grad = _objective(_bucket_stats(feats, idx, k), protos, alpha)
+        scored = _rescore(feats, fnorm, protos, alpha, scored)
+        protos, idx = _repair_empty(segs, feats, protos, alpha, scored.idx)
+        if idx is not scored.idx:  # a re-seeded bucket: the next pass scores every row
+            scored = None
+        stats = _restats(feats, idx, k, held)
+        held = idx, stats
+        total, _, _, grad = _objective(stats, protos, alpha)
         losses.append(total)
         if total < best_loss:
             best_loss = total
@@ -395,8 +564,8 @@ def fit(
                 break
         adam.step({"prototypes": protos}, {"prototypes": grad})
     else:  # no early stop, so the last step's prototypes are not scored yet
-        idx = _closest_rows(feats, protos, alpha)
-        total = _objective(_bucket_stats(feats, idx, k), protos, alpha)[0]
+        idx = _rescore(feats, fnorm, protos, alpha, scored).idx
+        total = _objective(_restats(feats, idx, k, held), protos, alpha)[0]
         if total < best_loss:
             best_loss = total
             best = protos.copy()

@@ -167,18 +167,178 @@ def test_closest_rows_equals_argmin_of_the_full_distance_matrix(n, k, p):
 @pytest.mark.parametrize("n", [2047, 2049, 4097, 6145])
 def test_fit_and_nearest_features_choose_the_same_indices(n, alpha):
     # fit scores one whole-array feature array, nearest builds the features
-    # block by block; rows at the midpoint of two prototypes tie in exact
-    # arithmetic at alpha=0, so there rounding alone picks the index
-    rng = np.random.default_rng(n)
-    protos = rng.standard_normal((16, 16))
-    pairs = rng.integers(0, 16, size=(n, 2))
-    segs = (protos[pairs[:, 0]] + protos[pairs[:, 1]]) / 2.0
-    segs[::3] += rng.normal(0.0, 0.1, size=segs[::3].shape)
+    # block by block
+    segs, protos = _midpoint_rows(n, n)
     whole = clustering._features_t(segs)
     for lo, hi in clustering._blocks(n):
         assert whole[:, lo:hi].tobytes() == clustering._features_t(segs[lo:hi]).tobytes()
     got = clustering._closest_rows(whole, protos, alpha)
     assert got.tobytes() == nearest(segs, PrototypeSet(protos, alpha)).tobytes()
+
+
+def _check_each_scoring(monkeypatch):
+    """Make every `_rescore` call assert that its indices equal a full
+    `_closest_rows` pass bit for bit; returns, per call, whether it was a
+    full pass and how many rows it kept from the last scoring."""
+    real, seen = clustering._rescore, []
+
+    def rescore(feats_t, fnorm, protos, alpha, last):
+        out = real(feats_t, fnorm, protos, alpha, last)
+        assert out.idx.tobytes() == clustering._closest_rows(feats_t, protos, alpha).tobytes()
+        if last is None:
+            seen.append((True, 0))
+        else:
+            gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, out.w_max, out.norm_max)
+            seen.append((False, int((gap > tau).sum())))
+        return out
+
+    monkeypatch.setattr(clustering, "_rescore", rescore)
+    return seen
+
+
+def _midpoint_rows(n, seed):
+    # rows at the midpoint of two prototypes tie in exact arithmetic at
+    # alpha=0, so there rounding alone picks the index
+    rng = np.random.default_rng(seed)
+    protos = rng.standard_normal((16, 16))
+    pairs = rng.integers(0, 16, size=(n, 2))
+    segs = (protos[pairs[:, 0]] + protos[pairs[:, 1]]) / 2.0
+    segs[::3] += rng.normal(0.0, 0.1, size=segs[::3].shape)
+    return segs, protos
+
+
+def _duplicates_with_repairs():
+    # 300 copies of two rows, 5% of them jittered: with k=7 some buckets go
+    # empty and are re-seeded now and then, between incremental iterations
+    rng = np.random.default_rng(8)
+    segs = 3.0 * rng.standard_normal((2, 4))[rng.integers(0, 2, size=300)]
+    jitter = rng.random(300) < 0.05
+    segs[jitter] += 0.01 * rng.standard_normal((jitter.sum(), 4))
+    return segs
+
+
+@pytest.mark.parametrize(
+    "case", ["planted", "midpoints", "repairs", "repair each iteration", "k1", "n1", "n2049"]
+)
+def test_tracked_indices_equal_a_full_pass_at_every_iteration(monkeypatch, case):
+    rng = np.random.default_rng(21)
+    alpha, max_iters, tol, seed = 0.2, 40, float("-inf"), 1
+    if case == "planted":
+        sm, k, max_iters, tol = _planted_segments(0)[0], 4, 500, clustering.DEFAULT_TOL
+    elif case == "midpoints":
+        sm, k, alpha = make_segments(_midpoint_rows(4097, 4097)[0]), 16, 0.0
+    elif case == "repairs":
+        sm, k, alpha, seed = make_segments(_duplicates_with_repairs()), 7, 0.0, 8
+    elif case == "repair each iteration":
+        # noiseless copies of 4 templates with k=6: the re-seeded prototypes
+        # duplicate others, so their buckets are empty again at once
+        templates = generate_synthetic(4, 800, 4, 0.0, seed=5).templates
+        sm, k = make_segments(templates[rng.integers(0, 4, size=3000)]), 6
+    elif case == "k1":
+        sm, k = make_segments(rng.standard_normal((50, 4))), 1
+    elif case == "n1":
+        sm, k = make_segments(rng.standard_normal((1, 4))), 1
+    else:
+        sm, k = make_segments(rng.standard_normal((2049, 8))), 5
+    seen = _check_each_scoring(monkeypatch)
+    repairs = []
+    real_repair = clustering._repair_empty
+
+    def repair(segs, feats_t, protos, alpha, idx):
+        out = real_repair(segs, feats_t, protos, alpha, idx)
+        repairs.append(out[1] is not idx)
+        return out
+
+    monkeypatch.setattr(clustering, "_repair_empty", repair)
+    fit(sm, k, alpha, max_iters=max_iters, tol=tol, seed=seed)
+    assert len(seen) > 10
+    # the first scoring and the first after each repair are full passes
+    assert [full for full, _ in seen] == [True] + repairs[: len(seen) - 1]
+    if case == "repair each iteration":
+        assert all(repairs)
+    else:
+        assert any(repairs) == (case == "repairs")
+        assert sum(kept for _, kept in seen) > 0  # the bound skipped rows
+
+
+def test_rescore_takes_the_block_index_at_near_ties():
+    # m rows near a far prototype that the set holds twice tie between the
+    # copies, and no other row does. Scored again at the same prototypes,
+    # only they are stale, and a gather of 2-64 rows takes OpenBLAS's
+    # small-matrix path, where equal columns can score a last bit apart: 7
+    # of these 6,754 gathered rows chose the later copy on a SkylakeX
+    # build. Each tie must take the index its block gives it
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        p, k, m = int(rng.choice([4, 8, 16, 17])), int(rng.integers(2, 9)), int(rng.integers(2, 65))
+        base, far = rng.standard_normal((k, p)), 8.0 + rng.standard_normal(p)
+        protos = np.concatenate([base, [far, far]])
+        near = far + 0.1 * rng.standard_normal((m, p))
+        feats = clustering._features_t(np.concatenate([near, rng.standard_normal((3000, p))]))
+        alpha = float(rng.choice([0.0, 0.2]))
+        fnorm = clustering._feature_norms(feats)
+        want = clustering._closest_rows(feats, protos, alpha).tobytes()
+        last = clustering._rescore(feats, fnorm, protos, alpha, None)
+        assert np.all(last.gap[:m] == 0.0)
+        for _ in range(2):
+            last = clustering._rescore(feats, fnorm, protos, alpha, last)
+            assert last.idx.tobytes() == want
+
+
+def test_the_bound_counts_a_change_of_prototype_norms():
+    # at alpha=0 a row orthogonal to both prototypes scores only their
+    # squared norms, 100 and 104.04; moving the first to norm 10.3 moves its
+    # score by 6.09, more than twice ||f|| ||dw_1|| = 1.2
+    segs = np.array([[0.0, 0.1], [0.0, -0.1]])
+    feats = clustering._features_t(segs)
+    fnorm = clustering._feature_norms(feats)
+    protos = np.array([[10.0, 0.0], [-10.2, 0.0]])
+    last = clustering._rescore(feats, fnorm, protos, 0.0, None)
+    assert last.idx.tolist() == [0, 0]
+    moved = np.array([[10.3, 0.0], [-10.2, 0.0]])
+    assert clustering._rescore(feats, fnorm, moved, 0.0, last).idx.tolist() == [1, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31), n=st.integers(1, 300), k=st.integers(1, 6),
+    p=st.integers(2, 6), alpha=st.floats(0, 2), log_move=st.floats(-8, 1),
+)
+def test_rows_the_bound_skips_keep_their_full_pass_index(seed, n, k, p, alpha, log_move):
+    rng = np.random.default_rng(seed)
+    segs = rng.standard_normal((n, p))
+    protos = segs[rng.integers(0, n, size=k)] + 0.1 * rng.standard_normal((k, p))
+    feats = clustering._features_t(segs)
+    fnorm = clustering._feature_norms(feats)
+    last = clustering._rescore(feats, fnorm, protos, alpha, None)
+    moved = protos + 10.0**log_move * rng.standard_normal((k, p))
+    out = clustering._rescore(feats, fnorm, moved, alpha, last)
+    want = clustering._closest_rows(feats, moved, alpha)
+    gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, out.w_max, out.norm_max)
+    skipped = gap > tau
+    assert last.idx[skipped].tobytes() == want[skipped].tobytes()
+    assert out.idx.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("change", ["none", "one pair", "emptied", "all"])
+def test_restats_equals_bucket_stats_bit_for_bit(change):
+    rng = np.random.default_rng(17)
+    feats = clustering._features_t(rng.standard_normal((3001, 8)) * 10.0)
+    old = rng.integers(0, 6, size=3001)
+    held = old, clustering._bucket_stats(feats, old, 6)
+    new = old.copy()
+    if change == "one pair":
+        new[np.flatnonzero(old == 2)[::7]] = 4
+    elif change == "emptied":
+        new[old == 2] = 4
+    elif change == "all":
+        new = (old + 1) % 6
+    got = clustering._restats(feats, new, 6, held)
+    want = clustering._bucket_stats(feats, new, 6)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    if change == "none":
+        assert got is held[1]
 
 
 def test_duplicate_prototype_rows_resolve_to_the_lowest_index():
@@ -209,7 +369,9 @@ def test_nearest_never_holds_a_full_distance_matrix():
 
 def test_fit_peak_memory_stays_within_its_bound():
     # fit keeps one (2p, n) feature array; seeding's (n, p) centred-unit
-    # rows are freed before it is built (2.17x the segments at this size)
+    # rows are freed before it is built. The incremental scoring adds a few
+    # per-row vectors (feature norms, score gaps, indices): 2.48x the
+    # segments at this size, against 2.17x with a full pass per iteration
     x = np.random.default_rng(13).standard_normal((100_000, 16))
     sm = make_segments(x)
     peak = traced_peak_bytes(lambda: fit(sm, 16, 0.2, max_iters=3, tol=float("-inf"), seed=0))
@@ -581,19 +743,23 @@ def test_loss_evaluation_time_scales_linearly():
 @pytest.mark.parametrize("max_iters, early", [(500, True), (12, False)])
 def test_fit_scores_each_prototype_state_once(monkeypatch, max_iters, early):
     # an early stop has scored its last state already; only a fit that runs
-    # out of iterations scores the state its last step made, after the loop
+    # out of iterations scores the state its last step made, after the loop.
+    # `_rescore` scores each state; `_closest_rows` runs only in a repair
     sm, _ = _planted_segments(0)
-    calls, in_repairs = [], []
-    real, real_repair = clustering._closest_rows, clustering._repair_empty
+    scorings, closest, in_repairs = [], [], []
+    real_rescore, real_closest = clustering._rescore, clustering._closest_rows
+    real_repair = clustering._repair_empty
 
     def repair(*a):
-        before = len(calls)
+        before = len(closest)
         out = real_repair(*a)
-        in_repairs.append(len(calls) - before)
+        in_repairs.append(len(closest) - before)
         return out
 
-    monkeypatch.setattr(clustering, "_closest_rows", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(clustering, "_rescore", lambda *a: scorings.append(1) or real_rescore(*a))
+    monkeypatch.setattr(clustering, "_closest_rows", lambda *a: closest.append(1) or real_closest(*a))
     monkeypatch.setattr(clustering, "_repair_empty", repair)
     iters = fit(sm, 4, 0.2, max_iters=max_iters, seed=0).fit_meta.iterations
     assert (iters < max_iters) == early
-    assert len(calls) - sum(in_repairs) == iters + (not early)
+    assert len(scorings) == iters + (not early)
+    assert len(closest) == sum(in_repairs)
