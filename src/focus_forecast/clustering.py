@@ -68,15 +68,13 @@ inside its block (its small-matrix path), but within eps per score, so a
 fresh gap above tau gives the block's index too. A row whose fresh gap is
 not above tau, as at duplicate prototypes or at a midpoint at alpha = 0,
 takes its index from its own block, scored as `_closest_rows` scores it.
-The first iteration, and the first after an empty bucket is re-seeded,
-score every row that way.
+The first iteration, the first after an empty bucket is re-seeded, and
+any whose step leaves more than half the rows at or below tau (as large
+learning rates do) score every row that way, since a full pass of block
+GEMMs costs less than gathering most of the columns.
 
-A bucket's sums depend only on its members and their order. So
-`_restats` keeps the last statistics when no index changed, and
-otherwise sums again only the buckets that gained or lost a row, with one
-`bincount` per feature row over their members in segment order: the
-same additions as `_bucket_stats`, in the same order. When those buckets
-hold more than half the rows, one `_bucket_stats` pass costs less.
+`_restats` keeps the last bucket statistics when no index changed and
+otherwise sums every bucket again with `_bucket_stats`.
 """
 
 from __future__ import annotations
@@ -226,6 +224,21 @@ def _features_t(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _score_terms(protos: np.ndarray, alpha: float):
+    """The score weights [-2 P^T ; -alpha V^T], (2p, k), and ||c||^2."""
+    return np.concatenate([-2.0 * protos.T, -alpha * _center_unit(protos).T]), _sq_norms(protos)
+
+
+def _block_scores(feats_t: np.ndarray, lo: int, hi: int, w: np.ndarray, norms: np.ndarray):
+    """The scores of the `_blocks` block lo:hi, (hi - lo, k)."""
+    f = feats_t[:, lo:hi]
+    if hi - lo == 1:  # two rows take the GEMM path, whose equal columns score equal
+        f = np.repeat(f, 2, axis=1)
+    d = f.T @ w
+    d += norms
+    return d[: hi - lo]
+
+
 def _closest_rows(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> np.ndarray:
     """Each row's nearest prototype, (n,) int64, from its `_features_t`
     column; the lowest index wins ties.
@@ -235,34 +248,11 @@ def _closest_rows(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> np.n
     `distance_matrix` only between prototypes whose distances agree to
     rounding.
     """
-    w = np.concatenate([-2.0 * protos.T, -alpha * _center_unit(protos).T])  # (2p, k)
-    norms = _sq_norms(protos)
+    w, norms = _score_terms(protos, alpha)
     idx = np.empty(feats_t.shape[1], dtype=np.int64)
     for lo, hi in _blocks(feats_t.shape[1]):
-        f = feats_t[:, lo:hi]
-        if hi - lo == 1:  # two rows take the GEMM path, whose equal columns score equal
-            f = np.repeat(f, 2, axis=1)
-        d = f.T @ w
-        d += norms
-        idx[lo:hi] = np.argmin(d[: hi - lo], axis=1)  # the lowest index wins ties
+        idx[lo:hi] = np.argmin(_block_scores(feats_t, lo, hi, w, norms), axis=1)
     return idx
-
-
-def _score_terms(protos: np.ndarray, alpha: float):
-    """`_closest_rows`' score weights [-2 P^T ; -alpha V^T], (2p, k), and
-    ||c||^2, computed as it computes them."""
-    return np.concatenate([-2.0 * protos.T, -alpha * _center_unit(protos).T]), _sq_norms(protos)
-
-
-def _block_scores(feats_t: np.ndarray, lo: int, hi: int, w: np.ndarray, norms: np.ndarray):
-    """The scores of the `_blocks` block lo:hi, (hi - lo, k), computed as
-    `_closest_rows` computes them, so their argmin is its index."""
-    f = feats_t[:, lo:hi]
-    if hi - lo == 1:
-        f = np.repeat(f, 2, axis=1)
-    d = f.T @ w
-    d += norms
-    return d[: hi - lo]
 
 
 def _best_two(d: np.ndarray):
@@ -311,27 +301,37 @@ def _decayed_gaps(last: _Scoring, fnorm: np.ndarray, w: np.ndarray, norms: np.nd
     return gap, tau
 
 
+def _full_pass(feats_t: np.ndarray, w: np.ndarray, norms: np.ndarray):
+    """Each row's index and score gap, block by block as in `_closest_rows`."""
+    n = feats_t.shape[1]
+    idx, gap = np.empty(n, dtype=np.int64), np.empty(n)
+    for lo, hi in _blocks(n):
+        idx[lo:hi], gap[lo:hi] = _best_two(_block_scores(feats_t, lo, hi, w, norms))
+    return idx, gap
+
+
 def _rescore(
     feats_t: np.ndarray, fnorm: np.ndarray, protos: np.ndarray, alpha: float,
     last: _Scoring | None,
 ) -> _Scoring:
     """`_closest_rows(feats_t, protos, alpha)` bit for bit, with each row's
     score gap; fnorm is `_feature_norms(feats_t)`. Given the last scoring,
-    only the rows whose gap the step may have closed are scored again;
-    without one, every row is, block by block as in `_closest_rows`.
+    only the rows whose gap the step may have closed are scored again,
+    unless they are more than half the rows; otherwise every row is, block
+    by block as in `_closest_rows`.
     """
     n = feats_t.shape[1]
     w, norms = _score_terms(protos, alpha)
     w_max, norm_max = float(np.linalg.norm(w, axis=0).max()), float(norms.max())
     if last is None:
-        idx, gap = np.empty(n, dtype=np.int64), np.empty(n)
-        for lo, hi in _blocks(n):
-            idx[lo:hi], gap[lo:hi] = _best_two(_block_scores(feats_t, lo, hi, w, norms))
-        return _Scoring(idx, gap, w, norms, w_max, norm_max)
-    w_max, norm_max = max(w_max, last.w_max), max(norm_max, last.norm_max)
-    gap, tau = _decayed_gaps(last, fnorm, w, norms, w_max, norm_max)
-    idx = last.idx.copy()
+        return _Scoring(*_full_pass(feats_t, w, norms), w, norms, w_max, norm_max)
+    held_max = max(w_max, last.w_max), max(norm_max, last.norm_max)
+    gap, tau = _decayed_gaps(last, fnorm, w, norms, *held_max)
     stale = np.flatnonzero(~(gap > tau))  # NaN too
+    if 2 * stale.size > n:  # then one pass over every block costs less than the gathers
+        return _Scoring(*_full_pass(feats_t, w, norms), w, norms, w_max, norm_max)
+    w_max, norm_max = held_max
+    idx = last.idx.copy()
     for lo in range(0, stale.size, _BLOCK_ROWS):
         rows = stale[lo : lo + _BLOCK_ROWS]
         d = feats_t[:, rows].T @ w
@@ -382,30 +382,11 @@ def _bucket_stats(feats_t: np.ndarray, idx: np.ndarray, k: int):
 
 
 def _restats(feats_t: np.ndarray, idx: np.ndarray, k: int, held):
-    """`_bucket_stats(feats_t, idx, k)` bit for bit. held is None or an
-    earlier assignment and its statistics; then only the buckets that
-    gained or lost a row are summed again, over their members in segment
-    order, which makes each sum's additions in `_bucket_stats`' order."""
-    if held is None:
-        return _bucket_stats(feats_t, idx, k)
-    last_idx, last = held
-    moved = np.flatnonzero(idx != last_idx)
-    if moved.size == 0:
-        return last
-    changed = np.zeros(k, dtype=bool)
-    changed[idx[moved]] = changed[last_idx[moved]] = True
-    members = np.flatnonzero(changed[idx])
-    if 2 * members.size > idx.size:  # then one pass over every row costs less
-        return _bucket_stats(feats_t, idx, k)
-    buckets = np.flatnonzero(changed)
-    local = (np.cumsum(changed) - 1)[idx[members]]
-    counts, sums, unit_sums = (a.copy() for a in last)
-    counts[buckets] = np.bincount(local, minlength=buckets.size)
-    p = sums.shape[1]
-    for r, row in enumerate(feats_t):  # one gathered row at a time
-        col = np.bincount(local, weights=row[members], minlength=buckets.size)
-        (sums if r < p else unit_sums)[buckets, r % p] = col
-    return counts, sums, unit_sums
+    """`_bucket_stats(feats_t, idx, k)`. held is None or an earlier
+    assignment and its statistics, which are reused if idx equals it."""
+    if held is not None and np.array_equal(idx, held[0]):
+        return held[1]
+    return _bucket_stats(feats_t, idx, k)
 
 
 def _objective(stats, protos: np.ndarray, alpha: float):

@@ -178,21 +178,29 @@ def test_fit_and_nearest_features_choose_the_same_indices(n, alpha):
 
 def _check_each_scoring(monkeypatch):
     """Make every `_rescore` call assert that its indices equal a full
-    `_closest_rows` pass bit for bit; returns, per call, whether it was a
-    full pass and how many rows it kept from the last scoring."""
-    real, seen = clustering._rescore, []
+    `_closest_rows` pass bit for bit; returns, per call, whether it was
+    given no last scoring, whether it scored every row, and how many rows
+    its bound kept from the last scoring."""
+    real, real_full, seen, passes = clustering._rescore, clustering._full_pass, [], []
+
+    def full_pass(*args):
+        passes.append(1)
+        return real_full(*args)
 
     def rescore(feats_t, fnorm, protos, alpha, last):
+        before = len(passes)
         out = real(feats_t, fnorm, protos, alpha, last)
         assert out.idx.tobytes() == clustering._closest_rows(feats_t, protos, alpha).tobytes()
-        if last is None:
-            seen.append((True, 0))
-        else:
-            gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, out.w_max, out.norm_max)
-            seen.append((False, int((gap > tau).sum())))
+        kept = 0
+        if last is not None:
+            w_max, norm_max = max(out.w_max, last.w_max), max(out.norm_max, last.norm_max)
+            gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, w_max, norm_max)
+            kept = int((gap > tau).sum())
+        seen.append((last is None, len(passes) > before, kept))
         return out
 
     monkeypatch.setattr(clustering, "_rescore", rescore)
+    monkeypatch.setattr(clustering, "_full_pass", full_pass)
     return seen
 
 
@@ -218,13 +226,16 @@ def _duplicates_with_repairs():
 
 
 @pytest.mark.parametrize(
-    "case", ["planted", "midpoints", "repairs", "repair each iteration", "k1", "n1", "n2049"]
+    "case",
+    ["planted", "large steps", "midpoints", "repairs", "repair each iteration", "k1", "n1", "n2049"],
 )
 def test_tracked_indices_equal_a_full_pass_at_every_iteration(monkeypatch, case):
     rng = np.random.default_rng(21)
-    alpha, max_iters, tol, seed = 0.2, 40, float("-inf"), 1
+    alpha, max_iters, tol, seed, lr = 0.2, 40, float("-inf"), 1, clustering.CLUSTER_OPT_DEFAULTS.lr
     if case == "planted":
         sm, k, max_iters, tol = _planted_segments(0)[0], 4, 500, clustering.DEFAULT_TOL
+    elif case == "large steps":
+        sm, k, lr = _planted_segments(0)[0], 4, 1.0
     elif case == "midpoints":
         sm, k, alpha = make_segments(_midpoint_rows(4097, 4097)[0]), 16, 0.0
     elif case == "repairs":
@@ -250,15 +261,23 @@ def test_tracked_indices_equal_a_full_pass_at_every_iteration(monkeypatch, case)
         return out
 
     monkeypatch.setattr(clustering, "_repair_empty", repair)
-    fit(sm, k, alpha, max_iters=max_iters, tol=tol, seed=seed)
+    fit(sm, k, alpha, lr=lr, max_iters=max_iters, tol=tol, seed=seed)
     assert len(seen) > 10
-    # the first scoring and the first after each repair are full passes
-    assert [full for full, _ in seen] == [True] + repairs[: len(seen) - 1]
+    # the first scoring and the first after each repair are given no last one
+    assert [fresh for fresh, _, _ in seen] == [True] + repairs[: len(seen) - 1]
+    assert all(full for fresh, full, _ in seen if fresh)
+    # a scoring given the last one scores every row when its bound keeps
+    # fewer than half of them, and only then
+    n = sm.segments.shape[0]
+    assert all(full == (2 * (n - kept) > n) for fresh, full, kept in seen if not fresh)
     if case == "repair each iteration":
         assert all(repairs)
     else:
+        assert any(not full for _, full, _ in seen)  # the bound skipped rows
+    if case == "large steps":  # steps of lr 1 also empty buckets now and then
+        assert any(full for fresh, full, _ in seen if not fresh)
+    elif case != "repair each iteration":
         assert any(repairs) == (case == "repairs")
-        assert sum(kept for _, kept in seen) > 0  # the bound skipped rows
 
 
 def test_rescore_takes_the_block_index_at_near_ties():
@@ -314,25 +333,42 @@ def test_rows_the_bound_skips_keep_their_full_pass_index(seed, n, k, p, alpha, l
     moved = protos + 10.0**log_move * rng.standard_normal((k, p))
     out = clustering._rescore(feats, fnorm, moved, alpha, last)
     want = clustering._closest_rows(feats, moved, alpha)
-    gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, out.w_max, out.norm_max)
+    w_max, norm_max = max(out.w_max, last.w_max), max(out.norm_max, last.norm_max)
+    gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, w_max, norm_max)
     skipped = gap > tau
     assert last.idx[skipped].tobytes() == want[skipped].tobytes()
     assert out.idx.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("change", ["none", "one pair", "emptied", "all"])
+def test_rescore_scores_every_row_when_most_are_stale():
+    # a step of a tenth of the prototypes' scale leaves ~89% of the gaps
+    # at or below tau, and then the scoring is the one a full pass gives,
+    # bounds included, not the kept rows' lowered gaps
+    rng = np.random.default_rng(4)
+    feats = clustering._features_t(rng.standard_normal((3000, 8)))
+    fnorm = clustering._feature_norms(feats)
+    protos = rng.standard_normal((6, 8))
+    last = clustering._rescore(feats, fnorm, protos, 0.2, None)
+    moved = protos + 0.1 * rng.standard_normal((6, 8))
+    got = clustering._rescore(feats, fnorm, moved, 0.2, last)
+    w_max, norm_max = max(got.w_max, last.w_max), max(got.norm_max, last.norm_max)
+    gap, tau = clustering._decayed_gaps(last, fnorm, got.w, got.norms, w_max, norm_max)
+    assert 2 * np.count_nonzero(~(gap > tau)) > feats.shape[1]
+    want = clustering._rescore(feats, fnorm, moved, 0.2, None)
+    assert got.idx.tobytes() == want.idx.tobytes()
+    assert got.gap.tobytes() == want.gap.tobytes()
+    assert (got.w_max, got.norm_max) == (want.w_max, want.norm_max)
+
+
+@pytest.mark.parametrize("change", ["none", "one row"])
 def test_restats_equals_bucket_stats_bit_for_bit(change):
     rng = np.random.default_rng(17)
     feats = clustering._features_t(rng.standard_normal((3001, 8)) * 10.0)
     old = rng.integers(0, 6, size=3001)
     held = old, clustering._bucket_stats(feats, old, 6)
     new = old.copy()
-    if change == "one pair":
-        new[np.flatnonzero(old == 2)[::7]] = 4
-    elif change == "emptied":
-        new[old == 2] = 4
-    elif change == "all":
-        new = (old + 1) % 6
+    if change == "one row":
+        new[np.flatnonzero(old == 2)[0]] = 4
     got = clustering._restats(feats, new, 6, held)
     want = clustering._bucket_stats(feats, new, 6)
     for a, b in zip(got, want):
