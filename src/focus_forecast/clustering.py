@@ -73,8 +73,10 @@ any whose step leaves more than half the rows at or below tau (as large
 learning rates do) score every row that way, since a full pass of block
 GEMMs costs less than gathering most of the columns.
 
-`_restats` keeps the last bucket statistics when no index changed and
-otherwise sums every bucket again with `_bucket_stats`.
+Every iteration sums every bucket again with `_bucket_stats`, also when
+no index moved: reusing the last sums then would make a fit's cost
+depend on how many of its steps move a row, which differs from one data
+set to the next by more than a third of the fit.
 """
 
 from __future__ import annotations
@@ -381,14 +383,6 @@ def _bucket_stats(feats_t: np.ndarray, idx: np.ndarray, k: int):
     return _sizes(idx, k).astype(np.float64), np.stack(cols[:p], 1), np.stack(cols[p:], 1)
 
 
-def _restats(feats_t: np.ndarray, idx: np.ndarray, k: int, held):
-    """`_bucket_stats(feats_t, idx, k)`. held is None or an earlier
-    assignment and its statistics, which are reused if idx equals it."""
-    if held is not None and np.array_equal(idx, held[0]):
-        return held[1]
-    return _bucket_stats(feats_t, idx, k)
-
-
 def _objective(stats, protos: np.ndarray, alpha: float):
     """(total, reconstruction, correlation, gradient) of the loss at fixed
     bucket statistics, from one pass over them."""
@@ -525,16 +519,14 @@ def fit(
     best_loss = np.inf
     best = protos.copy()
     iters = 0
-    scored = held = None
+    scored = None
     for it in range(max_iters):
         iters = it + 1
         scored = _rescore(feats, fnorm, protos, alpha, scored)
         protos, idx = _repair_empty(segs, feats, protos, alpha, scored.idx)
         if idx is not scored.idx:  # a re-seeded bucket: the next pass scores every row
             scored = None
-        stats = _restats(feats, idx, k, held)
-        held = idx, stats
-        total, _, _, grad = _objective(stats, protos, alpha)
+        total, _, _, grad = _objective(_bucket_stats(feats, idx, k), protos, alpha)
         losses.append(total)
         if total < best_loss:
             best_loss = total
@@ -546,7 +538,7 @@ def fit(
         adam.step({"prototypes": protos}, {"prototypes": grad})
     else:  # no early stop, so the last step's prototypes are not scored yet
         idx = _rescore(feats, fnorm, protos, alpha, scored).idx
-        total = _objective(_restats(feats, idx, k, held), protos, alpha)[0]
+        total = _objective(_bucket_stats(feats, idx, k), protos, alpha)[0]
         if total < best_loss:
             best_loss = total
             best = protos.copy()

@@ -360,23 +360,6 @@ def test_rescore_scores_every_row_when_most_are_stale():
     assert (got.w_max, got.norm_max) == (want.w_max, want.norm_max)
 
 
-@pytest.mark.parametrize("change", ["none", "one row"])
-def test_restats_equals_bucket_stats_bit_for_bit(change):
-    rng = np.random.default_rng(17)
-    feats = clustering._features_t(rng.standard_normal((3001, 8)) * 10.0)
-    old = rng.integers(0, 6, size=3001)
-    held = old, clustering._bucket_stats(feats, old, 6)
-    new = old.copy()
-    if change == "one row":
-        new[np.flatnonzero(old == 2)[0]] = 4
-    got = clustering._restats(feats, new, 6, held)
-    want = clustering._bucket_stats(feats, new, 6)
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
-    if change == "none":
-        assert got is held[1]
-
-
 def test_duplicate_prototype_rows_resolve_to_the_lowest_index():
     # 21 rows holding 5 distinct prototypes, with copies in the product's
     # edge columns. A lone row would go through gemv, whose equal columns
