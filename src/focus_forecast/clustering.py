@@ -75,8 +75,7 @@ GEMMs costs less than gathering most of the columns.
 
 Every iteration sums every bucket again with `_bucket_stats`, also when
 no index moved: reusing the last sums then would make a fit's cost
-depend on how many of its steps move a row, which differs from one data
-set to the next by more than a third of the fit.
+depend on how many of its steps move a row, that is, on the data.
 """
 
 from __future__ import annotations
