@@ -37,13 +37,23 @@ apart. So a lone row (n = 1) is scored as two.
 
 Bucket sums are one `np.bincount(idx, weights=row)` per feature row,
 which adds the segments in order and so equals `np.add.at` bit for bit.
-True distances (`_distances`) are computed only to seed prototypes, to
-re-seed an empty bucket and in `distance_matrix`. The re-seed computes
-them block by block, which gives `distance_matrix`'s rows bit for bit.
+True distances (`_distances`) are computed only to re-seed an empty
+bucket and in `distance_matrix`. The re-seed computes them block by
+block, which gives `distance_matrix`'s rows bit for bit.
 
-One AdamW step moves the prototypes little, so from its second
-iteration on `fit` scores again only the rows a step can move
-(`_rescore`), and its indices still equal `_closest_rows`' bit for bit.
+`fit` seeds by farthest point (Gonzalez 1985) from the same feature
+array (`_seed`): after a seeded first pick, each round takes the row
+farthest from every seed so far, the lowest index on ties. A row's
+distance to a seed is ||s||^2 + alpha plus its score, so each round
+scores every row for its new seed with one GEMV and keeps each row's
+best and second-best score. A pick can differ from the argmax under
+`distance_matrix` only between rows whose distances agree to rounding.
+The k rounds leave each row's nearest seed and score gap: a scoring that
+the first iteration starts from, as if after a step of size zero.
+
+One AdamW step moves the prototypes little, so `fit` scores again only
+the rows a step can move (`_rescore`), and its indices still equal
+`_closest_rows`' bit for bit.
 Write a row's score for prototype j as f.w_j + n_j, with f = [s, u], w_j
 the j-th column of the weights above and n_j = ||c_j||^2. A step moves it
 by f.dw_j + dn_j, at most ||f|| ||dw_j|| + |dn_j| by Cauchy-Schwarz, and
@@ -52,12 +62,13 @@ its gap, second-best minus best score, from its last scoring, less
 2 (||f|| max_j ||dw_j|| + max_j |dn_j|) for every step since, rounded
 down. A row whose gap is still above tau keeps its index.
 
-tau bounds rounding. In any order of summation a computed score is
-within (2p + 1) u (||f|| ||w_j|| + n_j) of f.w_j + n_j, where u = 2^-53,
-so within eps = (2p + 2) u (||f|| W + N), where W and N are the largest
-||w_j|| and n_j since the last full pass (which covers the row's last
-scoring). The recorded gap and a full pass each err by at most 2 eps, so
-a gap above 4 eps, about 8.9e-16 (p + 1) (||f|| W + N), leaves the full
+tau bounds rounding. In any order of summation, the seeding rounds'
+GEMV included, a computed score is within (2p + 1) u (||f|| ||w_j|| +
+n_j) of f.w_j + n_j, where u = 2^-53, so within eps = (2p + 2) u (||f|| W
++ N), where W and N are the largest ||w_j|| and n_j since the last full
+pass (which covers the row's last scoring; the seeding rounds count as
+one). The recorded gap and a full pass each err by at most 2 eps, so a
+gap above 4 eps, about 8.9e-16 (p + 1) (||f|| W + N), leaves the full
 pass's argmin where it was, with no tie. `_rescore` takes
 tau = 1e-12 (p + 1) (||f|| W + N), about 1,100 times that, which also
 covers the rounding of the bound itself.
@@ -68,10 +79,10 @@ inside its block (its small-matrix path), but within eps per score, so a
 fresh gap above tau gives the block's index too. A row whose fresh gap is
 not above tau, as at duplicate prototypes or at a midpoint at alpha = 0,
 takes its index from its own block, scored as `_closest_rows` scores it.
-The first iteration, the first after an empty bucket is re-seeded, and
-any whose step leaves more than half the rows at or below tau (as large
-learning rates do) score every row that way, since a full pass of block
-GEMMs costs less than gathering most of the columns.
+The first iteration after an empty bucket is re-seeded, and any whose
+step leaves more than half the rows at or below tau (as large learning
+rates do), score every row that way, since a full pass of block GEMMs
+costs less than gathering most of the columns.
 
 Every iteration sums every bucket again with `_bucket_stats`, also when
 no index moved: reusing the last sums then would make a fit's cost
@@ -146,11 +157,13 @@ class BucketState:
 
 def _center_unit(x: np.ndarray) -> np.ndarray:
     """Center rows and scale to unit norm; degenerate rows become zeros."""
-    centered = x - x.mean(axis=-1, keepdims=True)
-    norm = np.linalg.norm(centered, axis=-1, keepdims=True)
-    safe = np.where(norm < CORR_NORM_FLOOR, 1.0, norm)
-    out = centered / safe
-    return np.where(norm < CORR_NORM_FLOOR, 0.0, out)
+    out = x - x.mean(axis=-1, keepdims=True)
+    norm = np.linalg.norm(out, axis=-1, keepdims=True)
+    flat = norm < CORR_NORM_FLOOR
+    norm[flat] = 1.0
+    out /= norm
+    np.copyto(out, 0.0, where=flat)
+    return out
 
 
 def pearson_corr(a: np.ndarray, b: np.ndarray) -> float:
@@ -282,11 +295,11 @@ class _Scoring:
     norm_max: float  # the largest ||c_j||^2 since the last full pass
 
 
-def _feature_norms(feats_t: np.ndarray) -> np.ndarray:
-    """sqrt(||s||^2 + 1) per `_features_t` column, which bounds ||[s, u]||
-    since ||u|| <= 1; summed row by row, with no (2p, n) temporary."""
+def _column_sq_norms(feats_t: np.ndarray) -> np.ndarray:
+    """||s||^2 per `_features_t` column, summed row by row, with no (2p, n)
+    temporary."""
     p = feats_t.shape[0] // 2
-    return np.sqrt(np.einsum("ij,ij->j", feats_t[:p], feats_t[:p]) + 1.0)
+    return np.einsum("ij,ij->j", feats_t[:p], feats_t[:p])
 
 
 def _decayed_gaps(last: _Scoring, fnorm: np.ndarray, w: np.ndarray, norms: np.ndarray,
@@ -316,7 +329,7 @@ def _rescore(
     last: _Scoring | None,
 ) -> _Scoring:
     """`_closest_rows(feats_t, protos, alpha)` bit for bit, with each row's
-    score gap; fnorm is `_feature_norms(feats_t)`. Given the last scoring,
+    score gap; fnorm is sqrt(||s||^2 + 1) per row. Given the last scoring,
     only the rows whose gap the step may have closed are scored again,
     unless they are more than half the rows; otherwise every row is, block
     by block as in `_closest_rows`.
@@ -433,29 +446,35 @@ def clustering_loss_grad(
     return _public_objective(segments, protos, buckets)[3]
 
 
-def _init_prototypes(
-    segments: np.ndarray, k: int, alpha: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Greedy farthest-point seeding under the composite metric.
-
-    After a seeded first pick, each round takes the segment farthest from
-    every prototype chosen so far (lowest index on ties), so well-separated
-    clusters each receive a starting prototype.
+def _seed(feats_t: np.ndarray, sq: np.ndarray, k: int, alpha: float, rng: np.random.Generator):
+    """Greedy farthest-point seeding under the composite metric, from the
+    `_features_t` columns and their squared norms sq, so well-separated
+    clusters each receive a starting prototype. Returns the k seeds and
+    their scoring, each row's nearest seed and score gap from one GEMV
+    per seed; see the module docstring.
     """
-    n = segments.shape[0]
-    sq, unit = _sq_norms(segments), np.empty_like(segments)
-    for lo, hi in _blocks(n):  # per-row arithmetic: one whole call's bits, no (n, p) temporary
-        unit[lo:hi] = _center_unit(segments[lo:hi])
-    chosen = [int(rng.integers(n))]
-    d = _distances(segments, sq, unit, _proto_terms(segments[chosen]), alpha)[:, 0]
-    d[chosen[0]] = -np.inf
-    for _ in range(1, k):
-        nxt = int(np.argmax(d))
-        chosen.append(nxt)
-        new = _distances(segments, sq, unit, _proto_terms(segments[[nxt]]), alpha)
-        np.minimum(d, new[:, 0], out=d)
-        d[nxt] = -np.inf
-    return segments[np.asarray(chosen)].astype(np.float64).copy()
+    n, p = feats_t.shape[1], feats_t.shape[0] // 2
+    far = sq + alpha
+    best, second, idx = np.full(n, np.inf), np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+    s, tmp = np.empty(n), np.empty(n)
+    chosen, cols = [int(rng.integers(n))], []
+    for j in range(k):
+        cols.append(_score_terms(feats_t[:p, [chosen[j]]].T, alpha))
+        w, norm = cols[-1]
+        np.matmul(w[:, 0], feats_t, out=s)
+        s += norm[0]
+        np.minimum(second, np.maximum(best, s, out=tmp), out=second)
+        np.copyto(idx, j, where=s < best)  # strict: the lowest index wins ties
+        np.minimum(best, s, out=best)
+        if j + 1 < k:
+            d = np.add(far, best, out=tmp)
+            d[chosen] = -np.inf
+            chosen.append(int(np.argmax(d)))
+    w, norms = np.concatenate([c[0] for c in cols], axis=1), np.concatenate([c[1] for c in cols])
+    scoring = _Scoring(
+        idx, second - best, w, norms, float(np.linalg.norm(w, axis=0).max()), float(norms.max())
+    )
+    return np.ascontiguousarray(feats_t[:p, chosen].T), scoring
 
 
 def _repair_empty(
@@ -510,15 +529,16 @@ def fit(
         raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
     rng = seed_stream(seed, "init")
     adam = AdamW(replace(CLUSTER_OPT_DEFAULTS, lr=lr))
-    protos = _init_prototypes(segs, k, alpha, rng)
-    feats = _features_t(segs)  # after seeding, whose (n, p) unit rows are freed by now
-    fnorm = _feature_norms(feats)
+    feats = _features_t(segs)
+    sq = _column_sq_norms(feats)
+    protos, scored = _seed(feats, sq, k, alpha, rng)
+    sq += 1.0  # seeding is done with it
+    fnorm = np.sqrt(sq, out=sq)  # bounds ||[s, u]||, since ||u|| <= 1
 
     losses: list[float] = []
     best_loss = np.inf
     best = protos.copy()
     iters = 0
-    scored = None
     for it in range(max_iters):
         iters = it + 1
         scored = _rescore(feats, fnorm, protos, alpha, scored)

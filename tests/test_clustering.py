@@ -27,6 +27,7 @@ from focus_forecast.data import generate_synthetic, segment
 from focus_forecast.errors import ConfigError, ShapeError
 from focus_forecast.optim import AdamW
 from focus_forecast.protoattn import build_assignment
+from focus_forecast.util import seed_stream
 
 from conftest import make_segments
 
@@ -89,6 +90,27 @@ def test_distance_matrix_matches_scalar_distance():
     for i in range(12):
         for j in range(5):
             assert mat[i, j] == pytest.approx(distance(segs[i], protos[j], 0.3), abs=1e-9)
+
+
+def test_center_unit_equals_its_where_formula_byte_for_byte():
+    # flat rows (constant, all ±0, spread below the floor), a NaN row, and
+    # rows over six decades
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((400, 16)) * 10.0 ** rng.uniform(-3, 3, size=(400, 1))
+    x[0], x[1], x[2], x[3] = 0.0, -0.0, 7.5, np.nan
+    x[4, ::2] = -0.0
+    x[4, 1::2] = 0.0
+    x[5] = 1.0 + 1e-14 * rng.standard_normal(16)
+    x[6, 3] = np.nan
+    centered = x - x.mean(axis=-1, keepdims=True)
+    norm = np.linalg.norm(centered, axis=-1, keepdims=True)
+    want = np.where(norm < clustering.CORR_NORM_FLOOR, 0.0,
+                    centered / np.where(norm < clustering.CORR_NORM_FLOOR, 1.0, norm))
+    got = clustering._center_unit(x)
+    assert got.tobytes() == want.tobytes()
+    assert clustering._center_unit(x[7]).tobytes() == want[7].tobytes()
+    assert np.all(got[:3] == 0.0) and not np.signbit(got[:2]).any()
+    assert np.isnan(got[3]).all() and np.isnan(got[6]).all()
 
 
 # ------------------------------------------------------------- assignment
@@ -204,6 +226,10 @@ def _check_each_scoring(monkeypatch):
     return seen
 
 
+def _fnorm(feats_t):
+    return np.sqrt(clustering._column_sq_norms(feats_t) + 1.0)
+
+
 def _midpoint_rows(n, seed):
     # rows at the midpoint of two prototypes tie in exact arithmetic at
     # alpha=0, so there rounding alone picks the index
@@ -263,8 +289,9 @@ def test_tracked_indices_equal_a_full_pass_at_every_iteration(monkeypatch, case)
     monkeypatch.setattr(clustering, "_repair_empty", repair)
     fit(sm, k, alpha, lr=lr, max_iters=max_iters, tol=tol, seed=seed)
     assert len(seen) > 10
-    # the first scoring and the first after each repair are given no last one
-    assert [fresh for fresh, _, _ in seen] == [True] + repairs[: len(seen) - 1]
+    # the first scoring starts from the seeds' one; only the first after
+    # each repair is given no last one
+    assert [fresh for fresh, _, _ in seen] == [False] + repairs[: len(seen) - 1]
     assert all(full for fresh, full, _ in seen if fresh)
     # a scoring given the last one scores every row when its bound keeps
     # fewer than half of them, and only then
@@ -295,7 +322,7 @@ def test_rescore_takes_the_block_index_at_near_ties():
         near = far + 0.1 * rng.standard_normal((m, p))
         feats = clustering._features_t(np.concatenate([near, rng.standard_normal((3000, p))]))
         alpha = float(rng.choice([0.0, 0.2]))
-        fnorm = clustering._feature_norms(feats)
+        fnorm = _fnorm(feats)
         want = clustering._closest_rows(feats, protos, alpha).tobytes()
         last = clustering._rescore(feats, fnorm, protos, alpha, None)
         assert np.all(last.gap[:m] == 0.0)
@@ -310,7 +337,7 @@ def test_the_bound_counts_a_change_of_prototype_norms():
     # score by 6.09, more than twice ||f|| ||dw_1|| = 1.2
     segs = np.array([[0.0, 0.1], [0.0, -0.1]])
     feats = clustering._features_t(segs)
-    fnorm = clustering._feature_norms(feats)
+    fnorm = _fnorm(feats)
     protos = np.array([[10.0, 0.0], [-10.2, 0.0]])
     last = clustering._rescore(feats, fnorm, protos, 0.0, None)
     assert last.idx.tolist() == [0, 0]
@@ -328,7 +355,7 @@ def test_rows_the_bound_skips_keep_their_full_pass_index(seed, n, k, p, alpha, l
     segs = rng.standard_normal((n, p))
     protos = segs[rng.integers(0, n, size=k)] + 0.1 * rng.standard_normal((k, p))
     feats = clustering._features_t(segs)
-    fnorm = clustering._feature_norms(feats)
+    fnorm = _fnorm(feats)
     last = clustering._rescore(feats, fnorm, protos, alpha, None)
     moved = protos + 10.0**log_move * rng.standard_normal((k, p))
     out = clustering._rescore(feats, fnorm, moved, alpha, last)
@@ -346,7 +373,7 @@ def test_rescore_scores_every_row_when_most_are_stale():
     # bounds included, not the kept rows' lowered gaps
     rng = np.random.default_rng(4)
     feats = clustering._features_t(rng.standard_normal((3000, 8)))
-    fnorm = clustering._feature_norms(feats)
+    fnorm = _fnorm(feats)
     protos = rng.standard_normal((6, 8))
     last = clustering._rescore(feats, fnorm, protos, 0.2, None)
     moved = protos + 0.1 * rng.standard_normal((6, 8))
@@ -358,6 +385,42 @@ def test_rescore_scores_every_row_when_most_are_stale():
     assert got.idx.tobytes() == want.idx.tobytes()
     assert got.gap.tobytes() == want.gap.tobytes()
     assert (got.w_max, got.norm_max) == (want.w_max, want.norm_max)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2])
+@pytest.mark.parametrize("case", ["midpoints", "duplicates", "k1", "n1", "k=n"])
+def test_rescore_from_the_seeds_scoring_equals_a_full_pass(case, alpha):
+    # the seeding rounds score every row by GEMV, rounding otherwise than
+    # the block GEMMs; their gaps stand only where the bound lets them
+    rng = np.random.default_rng(23)
+    if case == "midpoints":  # exact ties at alpha=0
+        segs, k = _midpoint_rows(4097, 4097)[0], 16
+    elif case == "duplicates":  # more seeds than distinct rows: seeds repeat
+        segs, k = rng.standard_normal((3, 4))[rng.integers(0, 3, size=500)], 5
+    elif case == "k1":
+        segs, k = rng.standard_normal((50, 4)), 1
+    elif case == "n1":
+        segs, k = rng.standard_normal((1, 4)), 1
+    else:
+        segs, k = rng.standard_normal((40, 4)), 40
+    feats = clustering._features_t(segs)
+    sq = clustering._column_sq_norms(feats)
+    protos, seeded = clustering._seed(feats, sq, k, alpha, np.random.default_rng(0))
+    w, norms = clustering._score_terms(protos, alpha)
+    assert seeded.w.tobytes() == w.tobytes() and seeded.norms.tobytes() == norms.tobytes()
+    want = clustering._closest_rows(feats, protos, alpha)
+    fnorm = np.sqrt(sq + 1.0)
+    gap, tau = clustering._decayed_gaps(seeded, fnorm, w, norms, seeded.w_max, seeded.norm_max)
+    full = clustering._rescore(feats, fnorm, protos, alpha, None)
+    if k == 1:
+        assert np.all(seeded.gap == np.inf) and np.all(full.gap == np.inf)
+    else:  # the seeds' gaps are the block pass's, to rounding
+        assert np.all(np.abs(seeded.gap - full.gap) <= tau)
+    kept = gap > tau
+    assert seeded.idx[kept].tobytes() == want[kept].tobytes()
+    assert clustering._rescore(feats, fnorm, protos, alpha, seeded).idx.tobytes() == want.tobytes()
+    if case == "duplicates":
+        assert not kept.all()  # rows tie between repeated seeds and are scored again
 
 
 def test_duplicate_prototype_rows_resolve_to_the_lowest_index():
@@ -387,9 +450,9 @@ def test_nearest_never_holds_a_full_distance_matrix():
 
 
 def test_fit_peak_memory_stays_within_its_bound():
-    # fit keeps one (2p, n) feature array; seeding's (n, p) centred-unit
-    # rows are freed before it is built. The incremental scoring adds a few
-    # per-row vectors (feature norms, score gaps, indices): 2.48x the
+    # fit keeps one (2p, n) feature array, which seeding reads too. The
+    # seeding rounds and the incremental scoring add a few per-row vectors
+    # (squared and feature norms, scores, score gaps, indices): 2.50x the
     # segments at this size, against 2.17x with a full pass per iteration
     x = np.random.default_rng(13).standard_normal((100_000, 16))
     sm = make_segments(x)
@@ -557,6 +620,42 @@ def test_fit_zero_iters_returns_seeded_segment_rows():
         assert np.any(np.all(segs == row, axis=1))
 
 
+def _farthest_point_seeds(segs, k, alpha, seed):
+    """fit's seeding rule from its definition: a seeded first pick, then
+    each round the row farthest under `distance_matrix` from every pick so
+    far, the lowest index on ties."""
+    rng = seed_stream(seed, "init")
+    chosen = [int(rng.integers(len(segs)))]
+    d = np.full(len(segs), np.inf)
+    for _ in range(k):
+        np.minimum(d, distance_matrix(segs, segs[chosen[-1:]], alpha)[:, 0], out=d)
+        d[chosen] = -np.inf
+        chosen.append(int(np.argmax(d)))
+    return segs[chosen[:k]]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 2.0])
+def test_fit_seeds_the_farthest_points_under_distance_matrix(alpha):
+    # fit ranks rows by scores, not distances, so a pick can differ from
+    # this rule only between rows whose distances agree to rounding. Exact
+    # copies of one row can score a last bit apart, so on the copies the
+    # rule fixes the seeds' values, not which copy is picked; the values
+    # are what fit returns
+    rng = np.random.default_rng(17)
+    planted = _planted_segments(2)[0].segments
+    copies = rng.standard_normal((6, 8))[rng.integers(0, 6, size=900)]
+    for segs, k in [
+        (rng.standard_normal((3000, 8)), 16),
+        (rng.standard_normal((40, 3)), 40),
+        (planted, 4),
+        (planted, 16),
+        (copies, 6),
+    ]:
+        for seed in range(3):
+            got = fit(make_segments(segs), k, alpha, max_iters=0, seed=seed).prototypes
+            assert got.tobytes() == _farthest_point_seeds(segs, k, alpha, seed).tobytes()
+
+
 def test_fit_rejects_k_above_segment_count():
     with pytest.raises(ConfigError):
         fit(make_segments(np.zeros((3, 4))), 5, 0.2)
@@ -565,10 +664,8 @@ def test_fit_rejects_k_above_segment_count():
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
 def test_fit_rejects_non_finite_alpha_before_computing_any_distance(monkeypatch, alpha):
     calls = []
-    real = clustering._distances
-    monkeypatch.setattr(
-        clustering, "_distances", lambda *a: calls.append(1) or real(*a)
-    )
+    real = clustering._seed
+    monkeypatch.setattr(clustering, "_seed", lambda *a: calls.append(1) or real(*a))
     with pytest.raises(ConfigError, match="alpha must be finite"):
         fit(make_segments(np.zeros((8, 4))), 2, alpha, max_iters=5)
     assert calls == []

@@ -45,8 +45,8 @@ def test_nan_cluster_lr_is_rejected_when_the_optimizer_is_built(tmp_path, monkey
     path.write_text("cluster_lr=nan\n")
     cfg = resolve_config(path)
     calls = []
-    real = clustering._distances
-    monkeypatch.setattr(clustering, "_distances", lambda *a: calls.append(1) or real(*a))
+    real = clustering._seed
+    monkeypatch.setattr(clustering, "_seed", lambda *a: calls.append(1) or real(*a))
     segs = make_segments(np.random.default_rng(3).standard_normal((20, 4)))
     with pytest.raises(ConfigError, match="lr must be finite"):
         clustering.fit(segs, 2, cfg.alpha, lr=cfg.cluster_lr, max_iters=3)
