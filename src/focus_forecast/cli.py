@@ -34,7 +34,7 @@ from .errors import (
 )
 from .model import HyperParams, forecast_window, init_params
 from .training import evaluate, gradient_check, stack_windows, train
-from .util import seed_stream
+from .util import check_int64, seed_stream
 
 GRADCHECK_TOL = 1e-4
 
@@ -43,6 +43,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # argparse would exit(2); flag misuse is a validation failure here
         raise ConfigError(message)
+
+
+def int64(text: str) -> int:
+    """argparse type of the integer flags, which numpy takes as int64;
+    argparse names the flag when the text is no integer or out of range."""
+    try:
+        return check_int64("value", int(text))
+    except ConfigError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _cfg(args, **flag_overrides):
@@ -93,7 +102,6 @@ def cmd_cluster(args) -> int:
         segs,
         cfg.k,
         cfg.alpha,
-        lr=cfg.cluster_lr,
         max_iters=cfg.cluster_max_iters,
         tol=cfg.cluster_tol,
         seed=cfg.seed,
@@ -179,7 +187,7 @@ def cmd_forecast(args) -> int:
 def cmd_bench(args) -> int:
     cfg = _cfg(args)
     try:
-        sizes = [int(s) for s in args.sizes.split(",")]
+        sizes = [check_int64("--sizes entry", int(s)) for s in args.sizes.split(",")]
     except ValueError:
         raise ConfigError(
             f"--sizes must be comma-separated integers, got {args.sizes!r}"
@@ -226,24 +234,24 @@ def _build_parser() -> _Parser:
     def common(p: argparse.ArgumentParser, seed_required: bool = False):
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument(
-            "--seed", type=int, default=None, required=seed_required, help="run seed"
+            "--seed", type=int64, default=None, required=seed_required, help="run seed"
         )
 
     p = sub.add_parser("synth", help="generate a planted synthetic dataset")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--entities", required=True, type=int)
-    p.add_argument("--steps", required=True, type=int)
-    p.add_argument("--k-true", required=True, type=int, dest="k_true")
+    p.add_argument("--entities", required=True, type=int64)
+    p.add_argument("--steps", required=True, type=int64)
+    p.add_argument("--k-true", required=True, type=int64, dest="k_true")
     p.add_argument("--sigma", required=True, type=float)
-    p.add_argument("--p", type=int, default=None, help="template length")
+    p.add_argument("--p", type=int64, default=None, help="template length")
     p.add_argument("--bank", choices=("smooth", "mean-matched"), default="smooth")
     common(p, seed_required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("cluster", help="fit prototypes on the train split")
     p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--p", type=int64)
+    p.add_argument("--k", type=int64)
     p.add_argument("--alpha", type=float)
     p.add_argument("--out", required=True, help="prototype file path")
     common(p)
@@ -252,10 +260,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the forecaster")
     p.add_argument("--data", required=True)
     p.add_argument("--protos", required=True, help="prototype file from cluster")
-    p.add_argument("--lookback", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--lookback", type=int64)
+    p.add_argument("--horizon", type=int64)
+    p.add_argument("--d", type=int64)
+    p.add_argument("--m", type=int64)
     p.add_argument("--out", required=True, help="model file path")
     common(p)
     p.set_defaults(func=cmd_train)
@@ -281,7 +289,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient validation")
-    p.add_argument("--seed", type=int, required=True, help="base seed for the 3 configs")
+    p.add_argument("--seed", type=int64, required=True, help="base seed for the 3 configs")
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -79,10 +79,13 @@ inside its block (its small-matrix path), but within eps per score, so a
 fresh gap above tau gives the block's index too. A row whose fresh gap is
 not above tau, as at duplicate prototypes or at a midpoint at alpha = 0,
 takes its index from its own block, scored as `_closest_rows` scores it.
-The first iteration after an empty bucket is re-seeded, and any whose
-step leaves more than half the rows at or below tau (as large learning
-rates do), score every row that way, since a full pass of block GEMMs
-costs less than gathering most of the columns.
+The first iteration after an empty bucket is re-seeded, and any that
+finds more than half the rows at or below tau, score every row that way,
+since a full pass of block GEMMs costs less than gathering most of the
+columns. At the fit's fixed learning rate a step moves the prototypes
+little, so the second case comes from ties: on data with few distinct
+rows, seeds that repeat a row tie every copy of it, and the first
+iteration can find most rows at gap zero.
 
 Every iteration sums every bucket again with `_bucket_stats`, also when
 no index moved: reusing the last sums then would make a fit's cost
@@ -91,7 +94,7 @@ depend on how many of its steps move a row, that is, on the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,8 +105,9 @@ from .util import seed_stream
 
 CORR_NORM_FLOOR = 1e-12
 
-# engineering defaults; weight decay stays 0 so prototypes are not pulled
-# toward zero against the reconstruction term
+# the fit's AdamW settings, fixed: an engineering learning rate, and no
+# weight decay, so prototypes are not pulled toward zero against the
+# reconstruction term
 CLUSTER_OPT_DEFAULTS = OptimizerConfig(lr=1e-2, weight_decay=0.0)
 DEFAULT_MAX_ITERS = 500
 DEFAULT_TOL = 1e-5
@@ -498,11 +502,17 @@ def _repair_empty(
     return protos, _closest_rows(feats_t, protos, alpha)
 
 
+def _require_finite_objective(total: float, steps: int) -> None:
+    # a non-finite objective would compare -inf with -inf in the stop test
+    # and run every iteration, then be returned as the best loss
+    if not np.isfinite(total):
+        raise NumericalError(f"non-finite clustering objective {total} after {steps} steps")
+
+
 def fit(
     segments: SegmentMatrix,
     k: int,
     alpha: float,
-    lr: float = CLUSTER_OPT_DEFAULTS.lr,
     max_iters: int = DEFAULT_MAX_ITERS,
     tol: float = DEFAULT_TOL,
     seed: int = 0,
@@ -510,12 +520,13 @@ def fit(
     """Learn k prototypes from segments by alternating assign/refine steps.
 
     Each outer iteration refreshes assignments (repairing empty buckets),
-    then takes one AdamW step of learning rate lr (the other settings are
-    CLUSTER_OPT_DEFAULTS) on the prototypes against the analytic loss
+    then takes one AdamW step with CLUSTER_OPT_DEFAULTS (learning rate
+    1e-2, no weight decay) on the prototypes against the analytic loss
     gradient. Stops when the relative loss improvement over a 10-iteration
-    window falls below tol, or at max_iters. Returns the best state seen,
-    so the final loss never exceeds the initial one; deterministic given
-    identical inputs and seed.
+    window falls below tol, or at max_iters; raises NumericalError as soon
+    as an iteration's objective is not finite (as at an alpha near the
+    float64 limit). Returns the best state seen, so the final loss never
+    exceeds the initial one; deterministic given identical inputs and seed.
     """
     segs = np.asarray(segments.segments, dtype=np.float64)
     n, p = segs.shape
@@ -528,7 +539,7 @@ def fit(
     if max_iters < 0:
         raise ConfigError(f"max_iters must be >= 0, got {max_iters}")
     rng = seed_stream(seed, "init")
-    adam = AdamW(replace(CLUSTER_OPT_DEFAULTS, lr=lr))
+    adam = AdamW(CLUSTER_OPT_DEFAULTS)
     feats = _features_t(segs)
     sq = _column_sq_norms(feats)
     protos, scored = _seed(feats, sq, k, alpha, rng)
@@ -546,6 +557,7 @@ def fit(
         if idx is not scored.idx:  # a re-seeded bucket: the next pass scores every row
             scored = None
         total, _, _, grad = _objective(_bucket_stats(feats, idx, k), protos, alpha)
+        _require_finite_objective(total, it)
         losses.append(total)
         if total < best_loss:
             best_loss = total
@@ -558,6 +570,7 @@ def fit(
     else:  # no early stop, so the last step's prototypes are not scored yet
         idx = _rescore(feats, fnorm, protos, alpha, scored).idx
         total = _objective(_bucket_stats(feats, idx, k), protos, alpha)[0]
+        _require_finite_objective(total, iters)
         if total < best_loss:
             best_loss = total
             best = protos.copy()

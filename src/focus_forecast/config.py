@@ -2,8 +2,9 @@
 
 Precedence is CLI flag > config file > default. The file format is one
 `key=value` per line; blank lines and `#` comments are ignored. Unknown
-keys are rejected; value validation beyond basic parsing is left to the
-owning module (optimizer, model, clustering) constructors.
+keys are rejected, and so are integer values outside int64; value
+validation beyond that is left to the owning module (optimizer, model,
+clustering) constructors.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .clustering import CLUSTER_OPT_DEFAULTS, DEFAULT_MAX_ITERS, DEFAULT_TOL
+from .clustering import DEFAULT_MAX_ITERS, DEFAULT_TOL
 from .errors import ConfigError, ParseError
 from .optim import OptimizerConfig
+from .util import check_int64
 
 _OPT_DEFAULTS = OptimizerConfig()
 
@@ -26,7 +28,6 @@ class RunConfig:
     p: int = 16
     k: int = 16
     alpha: float = 0.2
-    cluster_lr: float = CLUSTER_OPT_DEFAULTS.lr
     cluster_max_iters: int = DEFAULT_MAX_ITERS
     cluster_tol: float = DEFAULT_TOL
     # forecaster
@@ -36,9 +37,6 @@ class RunConfig:
     horizon: int = 96
     # online optimizer
     lr: float = _OPT_DEFAULTS.lr
-    beta1: float = _OPT_DEFAULTS.beta1
-    beta2: float = _OPT_DEFAULTS.beta2
-    eps: float = _OPT_DEFAULTS.eps
     weight_decay: float = _OPT_DEFAULTS.weight_decay
     max_epochs: int = _OPT_DEFAULTS.max_epochs
     batch_size: int = _OPT_DEFAULTS.batch_size
@@ -113,6 +111,7 @@ def resolve_config(
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         cfg = replace(cfg, **overrides)
-    if not -(2**63) <= cfg.seed < 2**63:  # seeds are stored as int64
-        raise ConfigError(f"seed must be in [-2**63, 2**63), got {cfg.seed}")
+    for name, f in _FIELDS.items():  # numpy takes them as int64, and seeds are stored as one
+        if f.type in ("int", int):
+            check_int64(name, getattr(cfg, name))
     return cfg

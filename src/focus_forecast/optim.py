@@ -9,6 +9,13 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Adam's moment decays and denominator guard, at the values of Kingma & Ba
+# (ICLR 2015) that AdamW keeps (Loshchilov & Hutter, ICLR 2019); no caller
+# varies them
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -19,9 +26,6 @@ class OptimizerConfig:
     """
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 1e-4
     max_epochs: int = 100
     batch_size: int = 32
@@ -32,14 +36,13 @@ class OptimizerConfig:
         # written so that NaN fails each comparison
         if not 0 <= self.lr < math.inf:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if not 0 < self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and > 0, got {self.eps}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
-        if self.max_epochs < 0 or self.batch_size < 1 or self.patience < 0:
-            raise ConfigError("max_epochs/batch_size/patience out of range")
+        if self.max_epochs < 1 or self.batch_size < 1 or self.patience < 0:
+            raise ConfigError(
+                "need max_epochs >= 1, batch_size >= 1 and patience >= 0, got "
+                f"{self.max_epochs}, {self.batch_size} and {self.patience}"
+            )
 
 
 class AdamW:
@@ -47,6 +50,9 @@ class AdamW:
 
     m_t = b1 m + (1-b1) g;  v_t = b2 v + (1-b2) g^2
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta
+
+    lr and wd come from the config; b1, b2 and eps are the module
+    constants BETA1, BETA2 and EPS.
     """
 
     def __init__(self, cfg: OptimizerConfig):
@@ -59,8 +65,8 @@ class AdamW:
         """Update params in place; iteration order is sorted by name."""
         cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1**self.t
-        bc2 = 1.0 - cfg.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name in sorted(params):
             g = grads[name]
             p = params[name]
@@ -69,12 +75,12 @@ class AdamW:
                 self._v[name] = np.zeros_like(p)
             m = self._m[name]
             v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            p -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            p -= cfg.lr * m_hat / (np.sqrt(v_hat) + EPS)
             if cfg.weight_decay != 0.0:
                 p -= cfg.lr * cfg.weight_decay * p

@@ -1,5 +1,5 @@
-"""Small shared helpers: seeded RNG streams, finiteness checks and the
-heap policy of the batch loops."""
+"""Small shared helpers: seeded RNG streams, int64 and finiteness checks,
+and the heap policy of the batch loops."""
 
 import ctypes
 import functools
@@ -7,6 +7,14 @@ import functools
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+
+
+def check_int64(name: str, value: int) -> int:
+    """value, if numpy can hold it as an int64; else a ConfigError that
+    names it."""
+    if not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{name} must be in [-2**63, 2**63), got {value}")
+    return value
 
 
 def seed_stream(seed: int, label: str) -> np.random.Generator:
@@ -17,9 +25,7 @@ def seed_stream(seed: int, label: str) -> np.random.Generator:
     the whole run remains reproducible from one integer. Seeds outside
     int64, which the model and prototype files store, raise ConfigError.
     """
-    seed = int(seed)
-    if not -(2**63) <= seed < 2**63:
-        raise ConfigError(f"seed must be in [-2**63, 2**63), got {seed}")
+    seed = check_int64("seed", int(seed))
     entropy = int.from_bytes(label.encode("utf-8"), "little")
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, entropy]))
 

@@ -451,15 +451,83 @@ def test_cluster_rejects_infinite_alpha(pipeline, tmp_path):
     assert not out.exists()
 
 
-def test_cluster_rejects_nan_cluster_lr_before_fitting(pipeline, tmp_path):
+@pytest.mark.parametrize("key", ["cluster_lr", "beta1", "beta2", "eps"])
+def test_cluster_rejects_removed_optimizer_keys(pipeline, tmp_path, key):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("cluster_lr=nan\n")
+    cfg.write_text(f"{key}=0.5\n")
     out = tmp_path / "p.bin"
     code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
                         "--out", str(out), "--config", str(cfg)])
     assert code == 1
-    assert "lr must be finite" in err
+    assert f"unknown config keys: {key}" in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_cluster_exits_3_on_a_non_finite_objective(pipeline, tmp_path):
+    out = tmp_path / "big.bin"
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--alpha", "1e308", "--out", str(out)])
+    assert code == 3
+    assert "non-finite clustering objective" in err
+    assert not out.exists()
+
+
+BIG = "99999999999999999999"  # past int64: numpy refuses it before allocating anything
+
+
+@pytest.mark.parametrize("flag", ["--entities", "--steps", "--k-true", "--p", "--seed"])
+def test_synth_rejects_integer_flags_outside_int64(tmp_path, flag):
+    argv = {"--entities": "2", "--steps": "100", "--k-true": "2", "--p": "4", "--seed": "0"}
+    argv[flag] = BIG
+    code, _, err = run(["synth", "--out", str(tmp_path / "s.csv"), "--sigma", "0.1",
+                        *[t for pair in argv.items() for t in pair]])
+    assert code == 1
+    assert f"argument {flag}: value must be in [-2**63, 2**63)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--d", "--m", "--lookback", "--horizon"])
+def test_train_rejects_integer_flags_outside_int64(pipeline, tmp_path, flag):
+    out = tmp_path / "m.bin"
+    code, _, err = run(["train", "--data", pipeline["data"], "--protos", pipeline["protos"],
+                        flag, BIG, "--out", str(out)])
+    assert code == 1
+    assert f"argument {flag}: value must be in" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["d", "m", "batch_size"])
+def test_train_rejects_integer_config_values_outside_int64(pipeline, tmp_path, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={BIG}\n")
+    out = tmp_path / "m.bin"
+    code, _, err = run(["train", "--data", pipeline["data"], "--protos", pipeline["protos"],
+                        "--out", str(out), "--config", str(cfg)])
+    assert code == 1
+    assert f"{key} must be in [-2**63, 2**63), got {BIG}" in err
+    assert not out.exists()
+
+
+def test_bench_rejects_a_size_outside_int64():
+    code, out, err = run(["bench", "--mode", "protoattn", "--sizes", f"1,2,{BIG}"])
+    assert code == 1
+    assert f"--sizes entry must be in [-2**63, 2**63), got {BIG}" in err
+    assert out == ""
+
+
+def test_train_rejects_zero_max_epochs(pipeline, tmp_path):
+    # epochs count from 1, so zero would save the initial weights as trained
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_epochs=0\n")
+    out = tmp_path / "m.bin"
+    code, stdout, err = run(["train", "--data", pipeline["data"], "--protos", pipeline["protos"],
+                             "--lookback", "32", "--horizon", "8", "--d", "8", "--m", "2",
+                             "--out", str(out), "--config", str(cfg)])
+    assert code == 1
+    assert "max_epochs >= 1" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_cluster_takes_alpha_from_the_config_file(pipeline, tmp_path):

@@ -1,6 +1,7 @@
 """Composite-metric clustering: correlation, distances, assignment, loss, fit."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from focus_forecast.clustering import (
     pearson_corr,
 )
 from focus_forecast.data import generate_synthetic, segment
-from focus_forecast.errors import ConfigError, ShapeError
+from focus_forecast.errors import ConfigError, NumericalError, ShapeError
 from focus_forecast.optim import AdamW
 from focus_forecast.protoattn import build_assignment
 from focus_forecast.util import seed_stream
@@ -257,11 +258,14 @@ def _duplicates_with_repairs():
 )
 def test_tracked_indices_equal_a_full_pass_at_every_iteration(monkeypatch, case):
     rng = np.random.default_rng(21)
-    alpha, max_iters, tol, seed, lr = 0.2, 40, float("-inf"), 1, clustering.CLUSTER_OPT_DEFAULTS.lr
+    alpha, max_iters, tol, seed = 0.2, 40, float("-inf"), 1
     if case == "planted":
         sm, k, max_iters, tol = _planted_segments(0)[0], 4, 500, clustering.DEFAULT_TOL
     elif case == "large steps":
-        sm, k, lr = _planted_segments(0)[0], 4, 1.0
+        # lr 1 leaves more than half the rows stale after a step, so the
+        # fit takes its full-pass fallback
+        sm, k = _planted_segments(0)[0], 4
+        monkeypatch.setattr(clustering, "CLUSTER_OPT_DEFAULTS", replace(CLUSTER_OPT_DEFAULTS, lr=1.0))
     elif case == "midpoints":
         sm, k, alpha = make_segments(_midpoint_rows(4097, 4097)[0]), 16, 0.0
     elif case == "repairs":
@@ -287,7 +291,7 @@ def test_tracked_indices_equal_a_full_pass_at_every_iteration(monkeypatch, case)
         return out
 
     monkeypatch.setattr(clustering, "_repair_empty", repair)
-    fit(sm, k, alpha, lr=lr, max_iters=max_iters, tol=tol, seed=seed)
+    fit(sm, k, alpha, max_iters=max_iters, tol=tol, seed=seed)
     assert len(seen) > 10
     # the first scoring starts from the seeds' one; only the first after
     # each repair is given no last one
@@ -683,6 +687,21 @@ def test_fit_rejects_nan_tol_and_accepts_minus_inf():
     with pytest.raises(ConfigError, match="tol"):
         fit(segs, 2, 0.2, max_iters=30, tol=float("nan"))
     assert fit(segs, 2, 0.2, max_iters=30, tol=-np.inf).fit_meta.iterations == 30
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("max_iters", [0, 500])
+def test_fit_raises_on_a_non_finite_objective(monkeypatch, max_iters):
+    # alpha * corr overflows to -inf; the stop test would compare -inf with
+    # -inf and run every iteration
+    steps = []
+    real = clustering._objective
+    monkeypatch.setattr(clustering, "_objective", lambda *a: steps.append(1) or real(*a))
+    segs = make_segments(np.random.default_rng(3).standard_normal((40, 4)))
+    with pytest.raises(NumericalError, match="non-finite clustering objective -inf after 0 steps"):
+        fit(segs, 4, 1e308, max_iters=max_iters)
+    assert len(steps) == 1
 
 
 def test_fit_rejects_negative_max_iters_and_accepts_zero():

@@ -1,10 +1,7 @@
 """Config file parsing and the default/file/override layering."""
 
-import numpy as np
 import pytest
 
-from conftest import make_segments
-from focus_forecast import clustering
 from focus_forecast.config import RunConfig, read_config_file, resolve_config
 from focus_forecast.errors import ConfigError, ParseError
 from focus_forecast.optim import OptimizerConfig
@@ -40,19 +37,6 @@ def test_precedence_defaults_then_file_then_overrides(tmp_path):
     assert cfg.p == 16         # untouched default
 
 
-def test_nan_cluster_lr_is_rejected_when_the_optimizer_is_built(tmp_path, monkeypatch):
-    path = tmp_path / "run.cfg"
-    path.write_text("cluster_lr=nan\n")
-    cfg = resolve_config(path)
-    calls = []
-    real = clustering._seed
-    monkeypatch.setattr(clustering, "_seed", lambda *a: calls.append(1) or real(*a))
-    segs = make_segments(np.random.default_rng(3).standard_normal((20, 4)))
-    with pytest.raises(ConfigError, match="lr must be finite"):
-        clustering.fit(segs, 2, cfg.alpha, lr=cfg.cluster_lr, max_iters=3)
-    assert calls == []
-
-
 def test_resolve_without_file_or_overrides():
     assert resolve_config() == RunConfig()
 
@@ -79,6 +63,27 @@ def test_unknown_keys_rejected(tmp_path):
         resolve_config(path)
     with pytest.raises(ConfigError, match="warp_speed"):
         resolve_config(None, overrides={"warp_speed": 9})
+
+
+@pytest.mark.parametrize("key", ["cluster_lr", "beta1", "beta2", "eps"])
+def test_removed_optimizer_keys_are_unknown(tmp_path, key):
+    # the fit's learning rate and AdamW's betas and eps are constants now
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}=0.5\n")
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}"):
+        resolve_config(path)
+
+
+@pytest.mark.parametrize("key", ["p", "d", "max_epochs", "cluster_max_iters"])
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_int_values_outside_int64_are_rejected_by_name(tmp_path, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}={value}\n")
+    with pytest.raises(ConfigError, match=rf"^{key} must be in \[-2\*\*63, 2\*\*63\)"):
+        resolve_config(path)
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        resolve_config(None, overrides={key: value})
+    assert getattr(resolve_config(None, overrides={key: 2**63 - 1}), key) == 2**63 - 1
 
 
 def test_int_fields_reject_fractional_text(tmp_path):

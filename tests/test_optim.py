@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from focus_forecast.errors import ConfigError
-from focus_forecast.optim import AdamW, OptimizerConfig
+from focus_forecast.optim import EPS, AdamW, OptimizerConfig
 
 
 def test_first_step_without_decay_is_pure_adam():
@@ -15,7 +15,7 @@ def test_first_step_without_decay_is_pure_adam():
     g = np.array([0.3, -0.1, 2.0])
     opt = AdamW(cfg)
     opt.step({"w": p}, {"w": g.copy()})
-    expected = np.array([1.0, -2.0, 0.5]) - 0.05 * g / (np.abs(g) + cfg.eps)
+    expected = np.array([1.0, -2.0, 0.5]) - 0.05 * g / (np.abs(g) + EPS)
     np.testing.assert_allclose(p, expected, atol=1e-12)
 
 
@@ -29,7 +29,9 @@ def test_decay_applies_after_the_adam_update():
 
 
 def test_multi_step_matches_reference_recursion():
-    cfg = OptimizerConfig(lr=0.02, beta1=0.8, beta2=0.9, eps=1e-8, weight_decay=0.03)
+    # the moment decays and eps of Kingma & Ba, written out
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    cfg = OptimizerConfig(lr=0.02, weight_decay=0.03)
     rng = np.random.default_rng(0)
     p = rng.standard_normal(6)
     grads = [rng.standard_normal(6) for _ in range(7)]
@@ -38,11 +40,11 @@ def test_multi_step_matches_reference_recursion():
     m = np.zeros(6)
     v = np.zeros(6)
     for t, g in enumerate(grads, start=1):
-        m = cfg.beta1 * m + (1 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-        m_hat = m / (1 - cfg.beta1**t)
-        v_hat = v / (1 - cfg.beta2**t)
-        ref -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1**t)
+        v_hat = v / (1 - beta2**t)
+        ref -= cfg.lr * m_hat / (np.sqrt(v_hat) + eps)
         ref -= cfg.lr * cfg.weight_decay * ref
 
     opt = AdamW(cfg)
@@ -78,14 +80,10 @@ def test_lr_zero_is_a_no_op():
     "kwargs",
     [
         {"lr": -1e-3},
-        {"beta1": 0.0},
-        {"beta1": 1.0},
-        {"beta2": 1.2},
-        {"eps": 0.0},
         {"weight_decay": -0.1},
         {"batch_size": 0},
         {"patience": -1},
-        {"max_epochs": -5},
+        {"max_epochs": 0},  # epochs count from 1: zero would train nothing
     ],
 )
 def test_config_validation(kwargs):
@@ -99,8 +97,6 @@ def test_config_validation(kwargs):
         ("lr", float("nan")),
         ("lr", float("inf")),
         ("lr", float("-inf")),
-        ("eps", float("nan")),
-        ("eps", float("inf")),
         ("weight_decay", float("nan")),
         ("weight_decay", float("inf")),
     ],
