@@ -80,10 +80,14 @@ def test_lr_zero_is_a_no_op():
     "kwargs",
     [
         {"lr": -1e-3},
+        {"lr": -1e-12},
+        {"weight_decay": -1e-12},
+        {"batch_size": -1},
+        {"max_epochs": 0},  # epochs count from 1: zero would train nothing
         {"weight_decay": -0.1},
         {"batch_size": 0},
         {"patience": -1},
-        {"max_epochs": 0},  # epochs count from 1: zero would train nothing
+        {"max_epochs": -5},
     ],
 )
 def test_config_validation(kwargs):
