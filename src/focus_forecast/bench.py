@@ -34,7 +34,7 @@ from .protoattn import (
     kernel_flops_per_row,
     proto_attention,
 )
-from .util import seed_stream
+from .util import allocating, seed_stream
 
 WARMUP_REPS = 2
 TIMED_REPS = 7
@@ -209,10 +209,12 @@ def scaling_sweep(
             )
             protos = PrototypeSet(rng.standard_normal((k, p)), alpha=0.2)
             params = init_params(hyper, protos, seed=seed)
-            x = rng.standard_normal((1, l * p, hyper.n_entities))
+            with allocating(f"size {l}"):
+                x = rng.standard_normal((1, l * p, hyper.n_entities))
             cases.append((l, functools.partial(predict, params, x), count_forward_flops(hyper)))
             continue
-        segments = rng.standard_normal((l, d))
+        with allocating(f"size {l}"):
+            segments = rng.standard_normal((l, d))
         weights = ProtoAttnWeights(*(rng.standard_normal((d, d)) / np.sqrt(d) for _ in range(4)))
         if mode == "protoattn":
             # the kernel's cost does not depend on bucket occupancy

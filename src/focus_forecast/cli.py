@@ -34,7 +34,7 @@ from .errors import (
 )
 from .model import HyperParams, forecast_window, init_params
 from .training import evaluate, gradient_check, stack_windows, train
-from .util import check_int64, seed_stream
+from .util import allocating, check_int64, seed_stream
 
 GRADCHECK_TOL = 1e-4
 
@@ -67,15 +67,16 @@ def _diag(msg: str):
 
 def cmd_synth(args) -> int:
     cfg = _cfg(args, p=args.p)
-    result = generate_synthetic(
-        n_entities=args.entities,
-        n_steps=args.steps,
-        k_true=args.k_true,
-        noise_sigma=args.sigma,
-        seed=cfg.seed,
-        p=cfg.p,
-        bank=args.bank.replace("-", "_"),
-    )
+    with allocating(f"--entities {args.entities} x --steps {args.steps}"):
+        result = generate_synthetic(
+            n_entities=args.entities,
+            n_steps=args.steps,
+            k_true=args.k_true,
+            noise_sigma=args.sigma,
+            seed=cfg.seed,
+            p=cfg.p,
+            bank=args.bank.replace("-", "_"),
+        )
     save_csv(args.out, result.dataset)
     sidecar = args.out + ".templates"
     save_prototypes(

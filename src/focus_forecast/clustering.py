@@ -37,9 +37,8 @@ apart. So a lone row (n = 1) is scored as two.
 
 Bucket sums are one `np.bincount(idx, weights=row)` per feature row,
 which adds the segments in order and so equals `np.add.at` bit for bit.
-True distances (`_distances`) are computed only to re-seed an empty
-bucket and in `distance_matrix`. The re-seed computes them block by
-block, which gives `distance_matrix`'s rows bit for bit.
+True distances come only from `distance_matrix`: `fit` needs them only
+to re-seed an empty bucket, and calls it block by block.
 
 `fit` seeds by farthest point (Gonzalez 1985) from the same feature
 array (`_seed`): after a seeded first pick, each round takes the row
@@ -79,13 +78,13 @@ inside its block (its small-matrix path), but within eps per score, so a
 fresh gap above tau gives the block's index too. A row whose fresh gap is
 not above tau, as at duplicate prototypes or at a midpoint at alpha = 0,
 takes its index from its own block, scored as `_closest_rows` scores it.
-The first iteration after an empty bucket is re-seeded, and any that
-finds more than half the rows at or below tau, score every row that way,
-since a full pass of block GEMMs costs less than gathering most of the
-columns. At the fit's fixed learning rate a step moves the prototypes
-little, so the second case comes from ties: on data with few distinct
-rows, seeds that repeat a row tie every copy of it, and the first
-iteration can find most rows at gap zero.
+A re-seed of an empty bucket returns `_full_pass` of the new prototypes,
+and the next iteration rescores from it. An iteration that finds more
+than half the rows at or below tau takes a full pass too, which costs
+less than gathering most of the columns. At the fit's fixed learning
+rate that comes from ties: on data with few distinct rows, seeds that
+repeat a row tie every copy of it, and the first iteration can find most
+rows at gap zero.
 
 Every iteration sums every bucket again with `_bucket_stats`, also when
 no index moved: reusing the last sums then would make a fit's cost
@@ -193,34 +192,17 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return (x * x).sum(axis=1)
 
 
-def _proto_terms(protos: np.ndarray):
-    """The prototype side of `_distances`: (2P)^T, squared norms and
-    centred-unit rows transposed. Scaling by 2 is exact."""
-    return (2.0 * protos).T, _sq_norms(protos), _center_unit(protos).T
-
-
-def _distances(
-    segments: np.ndarray, sq: np.ndarray, unit: np.ndarray, terms, alpha: float
-) -> np.ndarray:
-    """distance_matrix given the segments' squared norms and centred-unit
-    rows and the prototype terms; in place, in distance_matrix's op order."""
-    two_t, norms, unit_t = terms
-    d = segments @ two_t
-    np.subtract(sq[:, None], d, out=d)
-    d += norms
+def distance_matrix(segments: np.ndarray, protos: np.ndarray, alpha: float) -> np.ndarray:
+    """Pairwise composite distances, (n, k)."""
+    d = segments @ (2.0 * protos).T  # scaling by 2 is exact
+    np.subtract(_sq_norms(segments)[:, None], d, out=d)
+    d += _sq_norms(protos)
     np.maximum(d, 0.0, out=d)
-    corr = unit @ unit_t
+    corr = _center_unit(segments) @ _center_unit(protos).T
     np.subtract(1.0, corr, out=corr)
     corr *= alpha
     d += corr
     return d
-
-
-def distance_matrix(segments: np.ndarray, protos: np.ndarray, alpha: float) -> np.ndarray:
-    """Pairwise composite distances, (n, k)."""
-    return _distances(
-        segments, _sq_norms(segments), _center_unit(segments), _proto_terms(protos), alpha
-    )
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -319,36 +301,39 @@ def _decayed_gaps(last: _Scoring, fnorm: np.ndarray, w: np.ndarray, norms: np.nd
     return gap, tau
 
 
-def _full_pass(feats_t: np.ndarray, w: np.ndarray, norms: np.ndarray):
-    """Each row's index and score gap, block by block as in `_closest_rows`."""
+def _scale(w: np.ndarray, norms: np.ndarray) -> tuple[float, float]:
+    """The largest ||w_j|| and ||c_j||^2, which scale `_rescore`'s threshold;
+    a norm past float64, at an alpha near its limit, is inf: every row stale."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(w, axis=0).max()), float(norms.max())
+
+
+def _full_pass(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> _Scoring:
+    """Every row's index and score gap, block by block as in `_closest_rows`."""
+    w, norms = _score_terms(protos, alpha)
     n = feats_t.shape[1]
     idx, gap = np.empty(n, dtype=np.int64), np.empty(n)
     for lo, hi in _blocks(n):
         idx[lo:hi], gap[lo:hi] = _best_two(_block_scores(feats_t, lo, hi, w, norms))
-    return idx, gap
+    return _Scoring(idx, gap, w, norms, *_scale(w, norms))
 
 
 def _rescore(
-    feats_t: np.ndarray, fnorm: np.ndarray, protos: np.ndarray, alpha: float,
-    last: _Scoring | None,
+    feats_t: np.ndarray, fnorm: np.ndarray, protos: np.ndarray, alpha: float, last: _Scoring
 ) -> _Scoring:
     """`_closest_rows(feats_t, protos, alpha)` bit for bit, with each row's
-    score gap; fnorm is sqrt(||s||^2 + 1) per row. Given the last scoring,
-    only the rows whose gap the step may have closed are scored again,
-    unless they are more than half the rows; otherwise every row is, block
-    by block as in `_closest_rows`.
+    score gap; fnorm is sqrt(||s||^2 + 1) per row. Only the rows whose gap
+    the step since the last scoring may have closed are scored again, unless
+    they are more than half the rows: then `_full_pass` scores every row.
     """
     n = feats_t.shape[1]
     w, norms = _score_terms(protos, alpha)
-    w_max, norm_max = float(np.linalg.norm(w, axis=0).max()), float(norms.max())
-    if last is None:
-        return _Scoring(*_full_pass(feats_t, w, norms), w, norms, w_max, norm_max)
-    held_max = max(w_max, last.w_max), max(norm_max, last.norm_max)
-    gap, tau = _decayed_gaps(last, fnorm, w, norms, *held_max)
+    w_max, norm_max = _scale(w, norms)
+    w_max, norm_max = max(w_max, last.w_max), max(norm_max, last.norm_max)
+    gap, tau = _decayed_gaps(last, fnorm, w, norms, w_max, norm_max)
     stale = np.flatnonzero(~(gap > tau))  # NaN too
     if 2 * stale.size > n:  # then one pass over every block costs less than the gathers
-        return _Scoring(*_full_pass(feats_t, w, norms), w, norms, w_max, norm_max)
-    w_max, norm_max = held_max
+        return _full_pass(feats_t, protos, alpha)
     idx = last.idx.copy()
     for lo in range(0, stale.size, _BLOCK_ROWS):
         rows = stale[lo : lo + _BLOCK_ROWS]
@@ -471,42 +456,33 @@ def _seed(feats_t: np.ndarray, sq: np.ndarray, k: int, alpha: float, rng: np.ran
         np.copyto(idx, j, where=s < best)  # strict: the lowest index wins ties
         np.minimum(best, s, out=best)
         if j + 1 < k:
-            d = np.add(far, best, out=tmp)
+            with np.errstate(over="ignore"):  # a distance past float64 reads inf, the farthest
+                d = np.add(far, best, out=tmp)
             d[chosen] = -np.inf
             chosen.append(int(np.argmax(d)))
     w, norms = np.concatenate([c[0] for c in cols], axis=1), np.concatenate([c[1] for c in cols])
-    scoring = _Scoring(
-        idx, second - best, w, norms, float(np.linalg.norm(w, axis=0).max()), float(norms.max())
-    )
+    scoring = _Scoring(idx, second - best, w, norms, *_scale(w, norms))
     return np.ascontiguousarray(feats_t[:p, chosen].T), scoring
 
 
 def _repair_empty(
     segments: np.ndarray, feats_t: np.ndarray, protos: np.ndarray, alpha: float,
-    idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    scored: _Scoring,
+) -> tuple[np.ndarray, _Scoring]:
     """Re-seed empty buckets to the segments farthest from their prototype
-    under `distance_matrix`; idx is each segment's nearest prototype."""
-    empties = np.flatnonzero(_sizes(idx, protos.shape[0]) == 0)
+    under `distance_matrix`, given the scoring of protos; a re-seed returns
+    the full pass of the new prototypes."""
+    empties = np.flatnonzero(_sizes(scored.idx, protos.shape[0]) == 0)
     if empties.size == 0:
-        return protos, idx
-    terms = _proto_terms(protos)
+        return protos, scored
     own = np.empty(segments.shape[0])
-    for lo, hi in _blocks(segments.shape[0]):  # distance_matrix's rows, block by block
-        rows = segments[lo:hi]
-        d = _distances(rows, _sq_norms(rows), _center_unit(rows), terms, alpha)
-        own[lo:hi] = d[np.arange(hi - lo), idx[lo:hi]]
+    for lo, hi in _blocks(segments.shape[0]):  # no (n, k) matrix at once
+        d = distance_matrix(segments[lo:hi], protos, alpha)
+        own[lo:hi] = d[np.arange(hi - lo), scored.idx[lo:hi]]
     order = np.argsort(-own, kind="stable")
     protos = protos.copy()
     protos[empties] = segments[order[: empties.size]]
-    return protos, _closest_rows(feats_t, protos, alpha)
-
-
-def _require_finite_objective(total: float, steps: int) -> None:
-    # a non-finite objective would compare -inf with -inf in the stop test
-    # and run every iteration, then be returned as the best loss
-    if not np.isfinite(total):
-        raise NumericalError(f"non-finite clustering objective {total} after {steps} steps")
+    return protos, _full_pass(feats_t, protos, alpha)
 
 
 def fit(
@@ -519,14 +495,15 @@ def fit(
 ) -> PrototypeSet:
     """Learn k prototypes from segments by alternating assign/refine steps.
 
-    Each outer iteration refreshes assignments (repairing empty buckets),
-    then takes one AdamW step with CLUSTER_OPT_DEFAULTS (learning rate
-    1e-2, no weight decay) on the prototypes against the analytic loss
-    gradient. Stops when the relative loss improvement over a 10-iteration
-    window falls below tol, or at max_iters; raises NumericalError as soon
-    as an iteration's objective is not finite (as at an alpha near the
-    float64 limit). Returns the best state seen, so the final loss never
-    exceeds the initial one; deterministic given identical inputs and seed.
+    Each iteration assigns the segments, re-seeding empty buckets, and
+    scores the objective, then takes one AdamW step with
+    CLUSTER_OPT_DEFAULTS (learning rate 1e-2, no weight decay) against the
+    analytic loss gradient. Stops when the relative loss improvement over a
+    10-iteration window falls below tol, or after max_iters steps, whose
+    last state is scored but not re-seeded. Raises NumericalError as soon
+    as an objective is not finite (as at an alpha near the float64 limit).
+    Returns the best state seen, so the final loss never exceeds the
+    initial one; deterministic given identical inputs and seed.
     """
     segs = np.asarray(segments.segments, dtype=np.float64)
     n, p = segs.shape
@@ -549,29 +526,22 @@ def fit(
     losses: list[float] = []
     best_loss = np.inf
     best = protos.copy()
-    iters = 0
-    for it in range(max_iters):
-        iters = it + 1
+    for it in range(max_iters + 1):  # max_iters steps, each state scored once
         scored = _rescore(feats, fnorm, protos, alpha, scored)
-        protos, idx = _repair_empty(segs, feats, protos, alpha, scored.idx)
-        if idx is not scored.idx:  # a re-seeded bucket: the next pass scores every row
-            scored = None
-        total, _, _, grad = _objective(_bucket_stats(feats, idx, k), protos, alpha)
-        _require_finite_objective(total, it)
+        if it < max_iters:  # the last state takes no step, so it needs no repair
+            protos, scored = _repair_empty(segs, feats, protos, alpha, scored)
+        total, _, _, grad = _objective(_bucket_stats(feats, scored.idx, k), protos, alpha)
+        if not np.isfinite(total):  # -inf never meets the stop test and would be the best loss
+            raise NumericalError(f"non-finite clustering objective {total} after {it} steps")
         losses.append(total)
         if total < best_loss:
             best_loss = total
             best = protos.copy()
+        if it == max_iters:
+            break
         if len(losses) > _TOL_WINDOW:
             prev = losses[-1 - _TOL_WINDOW]
             if (prev - total) < tol * max(abs(prev), 1e-12):
                 break
         adam.step({"prototypes": protos}, {"prototypes": grad})
-    else:  # no early stop, so the last step's prototypes are not scored yet
-        idx = _rescore(feats, fnorm, protos, alpha, scored).idx
-        total = _objective(_bucket_stats(feats, idx, k), protos, alpha)[0]
-        _require_finite_objective(total, iters)
-        if total < best_loss:
-            best_loss = total
-            best = protos.copy()
-    return PrototypeSet(best, alpha, FitMeta(iters, best_loss, seed))
+    return PrototypeSet(best, alpha, FitMeta(min(it + 1, max_iters), best_loss, seed))

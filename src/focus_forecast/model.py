@@ -32,7 +32,7 @@ from .autodiff import Tensor
 from .clustering import PrototypeSet, nearest
 from .errors import ConfigError, ShapeError
 from .protoattn import bucket_contexts
-from .util import require_finite, seed_stream
+from .util import allocating, require_finite, seed_stream
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,16 @@ def init_params(hyper: HyperParams, protos: PrototypeSet, seed: int = 0) -> Mode
     """Fan-in uniform init for weights; ones/zeros for norm gains and biases."""
     rng = seed_stream(seed, "init")
     tensors: dict[str, Tensor] = {}
-    for name, shape, kind in _param_shapes(hyper):
-        if kind == "uniform":
-            bound = 1.0 / np.sqrt(shape[0])
-            data = rng.uniform(-bound, bound, size=shape)
-        elif kind == "ones":
-            data = np.ones(shape)
-        else:
-            data = np.zeros(shape)
-        tensors[name] = Tensor(data, requires_grad=True)
+    with allocating(f"a model of d={hyper.d}, m={hyper.m}"):
+        for name, shape, kind in _param_shapes(hyper):
+            if kind == "uniform":
+                bound = 1.0 / np.sqrt(shape[0])
+                data = rng.uniform(-bound, bound, size=shape)
+            elif kind == "ones":
+                data = np.ones(shape)
+            else:
+                data = np.zeros(shape)
+            tensors[name] = Tensor(data, requires_grad=True)
     return ModelParams(hyper=hyper, protos=protos, tensors=tensors)
 
 

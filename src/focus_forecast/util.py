@@ -1,6 +1,7 @@
-"""Small shared helpers: seeded RNG streams, int64 and finiteness checks,
-and the heap policy of the batch loops."""
+"""Small shared helpers: seeded RNG streams, int64, allocation and
+finiteness checks, and the heap policy of the batch loops."""
 
+import contextlib
 import ctypes
 import functools
 
@@ -15,6 +16,21 @@ def check_int64(name: str, value: int) -> int:
     if not -(2**63) <= value < 2**63:
         raise ConfigError(f"{name} must be in [-2**63, 2**63), got {value}")
     return value
+
+
+@contextlib.contextmanager
+def allocating(what: str):
+    """Turn numpy's refusal to allocate an array inside the block into a
+    ConfigError that names what was asked for: a MemoryError, or the
+    ValueError numpy raises when a size or byte count does not fit in intp."""
+    try:
+        yield
+    except MemoryError:
+        raise ConfigError(f"{what} is too large to allocate") from None
+    except ValueError as e:
+        if not str(e).startswith(("array is too big", "Maximum allowed dimension exceeded")):
+            raise
+        raise ConfigError(f"{what} is too large to allocate") from None
 
 
 def seed_stream(seed: int, label: str) -> np.random.Generator:

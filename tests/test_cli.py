@@ -463,8 +463,7 @@ def test_cluster_rejects_removed_optimizer_keys(pipeline, tmp_path, key):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # no overflow warning before the error
 def test_cluster_exits_3_on_a_non_finite_objective(pipeline, tmp_path):
     out = tmp_path / "big.bin"
     code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
@@ -515,6 +514,38 @@ def test_bench_rejects_a_size_outside_int64():
     assert code == 1
     assert f"--sizes entry must be in [-2**63, 2**63), got {BIG}" in err
     assert out == ""
+
+
+HUGE = str(2**62)  # within int64, but each array it sizes needs 2**61 bytes or more: none is granted
+
+
+def _one_error_line(code, out, err, named):
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {named} is too large to allocate"]
+
+
+@pytest.mark.parametrize("entities, steps", [("1", HUGE), (HUGE, "100")])
+def test_synth_rejects_sizes_too_large_to_allocate(tmp_path, entities, steps):
+    code, out, err = run(["synth", "--out", str(tmp_path / "s.csv"), "--entities", entities,
+                          "--steps", steps, "--k-true", "2", "--sigma", "0.1", "--seed", "0"])
+    _one_error_line(code, out, err, f"--entities {entities} x --steps {steps}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--d", "--m"])
+def test_train_rejects_a_model_too_large_to_allocate(pipeline, tmp_path, flag):
+    out = tmp_path / "m.bin"
+    argv = {"--d": "8", "--m": "2", flag: HUGE}
+    code, stdout, err = run(["train", "--data", pipeline["data"], "--protos", pipeline["protos"],
+                             "--lookback", "32", "--horizon", "8", "--out", str(out),
+                             *[t for pair in argv.items() for t in pair]])
+    _one_error_line(code, stdout, err, f"a model of d={argv['--d']}, m={argv['--m']}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", SWEEP_MODES)
+def test_bench_rejects_a_size_too_large_to_allocate(mode):
+    _one_error_line(*run(["bench", "--mode", mode, "--sizes", f"1,2,{HUGE}"]), f"size {HUGE}")
 
 
 def test_train_rejects_zero_max_epochs(pipeline, tmp_path):

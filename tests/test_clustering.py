@@ -201,9 +201,8 @@ def test_fit_and_nearest_features_choose_the_same_indices(n, alpha):
 
 def _check_each_scoring(monkeypatch):
     """Make every `_rescore` call assert that its indices equal a full
-    `_closest_rows` pass bit for bit; returns, per call, whether it was
-    given no last scoring, whether it scored every row, and how many rows
-    its bound kept from the last scoring."""
+    `_closest_rows` pass bit for bit; returns, per call, whether it scored
+    every row and how many rows its bound kept from the last scoring."""
     real, real_full, seen, passes = clustering._rescore, clustering._full_pass, [], []
 
     def full_pass(*args):
@@ -211,15 +210,13 @@ def _check_each_scoring(monkeypatch):
         return real_full(*args)
 
     def rescore(feats_t, fnorm, protos, alpha, last):
+        assert isinstance(last, clustering._Scoring)
         before = len(passes)
         out = real(feats_t, fnorm, protos, alpha, last)
         assert out.idx.tobytes() == clustering._closest_rows(feats_t, protos, alpha).tobytes()
-        kept = 0
-        if last is not None:
-            w_max, norm_max = max(out.w_max, last.w_max), max(out.norm_max, last.norm_max)
-            gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, w_max, norm_max)
-            kept = int((gap > tau).sum())
-        seen.append((last is None, len(passes) > before, kept))
+        w_max, norm_max = max(out.w_max, last.w_max), max(out.norm_max, last.norm_max)
+        gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, w_max, norm_max)
+        seen.append((len(passes) > before, int((gap > tau).sum())))
         return out
 
     monkeypatch.setattr(clustering, "_rescore", rescore)
@@ -281,32 +278,35 @@ def test_tracked_indices_equal_a_full_pass_at_every_iteration(monkeypatch, case)
         sm, k = make_segments(rng.standard_normal((1, 4))), 1
     else:
         sm, k = make_segments(rng.standard_normal((2049, 8))), 5
+    real_full = clustering._full_pass
     seen = _check_each_scoring(monkeypatch)
     repairs = []
     real_repair = clustering._repair_empty
 
-    def repair(segs, feats_t, protos, alpha, idx):
-        out = real_repair(segs, feats_t, protos, alpha, idx)
-        repairs.append(out[1] is not idx)
+    def repair(segs, feats_t, protos, alpha, scored):
+        out = real_repair(segs, feats_t, protos, alpha, scored)
+        if out[1] is not scored:  # a re-seed: its scoring is the new prototypes' full pass
+            want = real_full(feats_t, out[0], alpha)
+            assert out[1].idx.tobytes() == want.idx.tobytes()
+            assert out[1].gap.tobytes() == want.gap.tobytes()
+            assert (out[1].w_max, out[1].norm_max) == (want.w_max, want.norm_max)
+        repairs.append(out[1] is not scored)
         return out
 
     monkeypatch.setattr(clustering, "_repair_empty", repair)
     fit(sm, k, alpha, max_iters=max_iters, tol=tol, seed=seed)
     assert len(seen) > 10
-    # the first scoring starts from the seeds' one; only the first after
-    # each repair is given no last one
-    assert [fresh for fresh, _, _ in seen] == [False] + repairs[: len(seen) - 1]
-    assert all(full for fresh, full, _ in seen if fresh)
-    # a scoring given the last one scores every row when its bound keeps
-    # fewer than half of them, and only then
+    # every `_rescore` call is given a last scoring: the seeds', a re-seed's
+    # full pass or its own last one. It scores every row when its bound
+    # keeps fewer than half of them, and only then
     n = sm.segments.shape[0]
-    assert all(full == (2 * (n - kept) > n) for fresh, full, kept in seen if not fresh)
+    assert all(full == (2 * (n - kept) > n) for full, kept in seen)
     if case == "repair each iteration":
         assert all(repairs)
     else:
-        assert any(not full for _, full, _ in seen)  # the bound skipped rows
+        assert any(not full for full, _ in seen)  # the bound skipped rows
     if case == "large steps":  # steps of lr 1 also empty buckets now and then
-        assert any(full for fresh, full, _ in seen if not fresh)
+        assert any(full for full, _ in seen)
     elif case != "repair each iteration":
         assert any(repairs) == (case == "repairs")
 
@@ -328,7 +328,7 @@ def test_rescore_takes_the_block_index_at_near_ties():
         alpha = float(rng.choice([0.0, 0.2]))
         fnorm = _fnorm(feats)
         want = clustering._closest_rows(feats, protos, alpha).tobytes()
-        last = clustering._rescore(feats, fnorm, protos, alpha, None)
+        last = clustering._full_pass(feats, protos, alpha)
         assert np.all(last.gap[:m] == 0.0)
         for _ in range(2):
             last = clustering._rescore(feats, fnorm, protos, alpha, last)
@@ -343,7 +343,7 @@ def test_the_bound_counts_a_change_of_prototype_norms():
     feats = clustering._features_t(segs)
     fnorm = _fnorm(feats)
     protos = np.array([[10.0, 0.0], [-10.2, 0.0]])
-    last = clustering._rescore(feats, fnorm, protos, 0.0, None)
+    last = clustering._full_pass(feats, protos, 0.0)
     assert last.idx.tolist() == [0, 0]
     moved = np.array([[10.3, 0.0], [-10.2, 0.0]])
     assert clustering._rescore(feats, fnorm, moved, 0.0, last).idx.tolist() == [1, 1]
@@ -360,7 +360,7 @@ def test_rows_the_bound_skips_keep_their_full_pass_index(seed, n, k, p, alpha, l
     protos = segs[rng.integers(0, n, size=k)] + 0.1 * rng.standard_normal((k, p))
     feats = clustering._features_t(segs)
     fnorm = _fnorm(feats)
-    last = clustering._rescore(feats, fnorm, protos, alpha, None)
+    last = clustering._full_pass(feats, protos, alpha)
     moved = protos + 10.0**log_move * rng.standard_normal((k, p))
     out = clustering._rescore(feats, fnorm, moved, alpha, last)
     want = clustering._closest_rows(feats, moved, alpha)
@@ -379,13 +379,13 @@ def test_rescore_scores_every_row_when_most_are_stale():
     feats = clustering._features_t(rng.standard_normal((3000, 8)))
     fnorm = _fnorm(feats)
     protos = rng.standard_normal((6, 8))
-    last = clustering._rescore(feats, fnorm, protos, 0.2, None)
+    last = clustering._full_pass(feats, protos, 0.2)
     moved = protos + 0.1 * rng.standard_normal((6, 8))
     got = clustering._rescore(feats, fnorm, moved, 0.2, last)
     w_max, norm_max = max(got.w_max, last.w_max), max(got.norm_max, last.norm_max)
     gap, tau = clustering._decayed_gaps(last, fnorm, got.w, got.norms, w_max, norm_max)
     assert 2 * np.count_nonzero(~(gap > tau)) > feats.shape[1]
-    want = clustering._rescore(feats, fnorm, moved, 0.2, None)
+    want = clustering._full_pass(feats, moved, 0.2)
     assert got.idx.tobytes() == want.idx.tobytes()
     assert got.gap.tobytes() == want.gap.tobytes()
     assert (got.w_max, got.norm_max) == (want.w_max, want.norm_max)
@@ -415,7 +415,7 @@ def test_rescore_from_the_seeds_scoring_equals_a_full_pass(case, alpha):
     want = clustering._closest_rows(feats, protos, alpha)
     fnorm = np.sqrt(sq + 1.0)
     gap, tau = clustering._decayed_gaps(seeded, fnorm, w, norms, seeded.w_max, seeded.norm_max)
-    full = clustering._rescore(feats, fnorm, protos, alpha, None)
+    full = clustering._full_pass(feats, protos, alpha)
     if k == 1:
         assert np.all(seeded.gap == np.inf) and np.all(full.gap == np.inf)
     else:  # the seeds' gaps are the block pass's, to rounding
@@ -689,8 +689,7 @@ def test_fit_rejects_nan_tol_and_accepts_minus_inf():
     assert fit(segs, 2, 0.2, max_iters=30, tol=-np.inf).fit_meta.iterations == 30
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # no overflow warning before the error
 @pytest.mark.parametrize("max_iters", [0, 500])
 def test_fit_raises_on_a_non_finite_objective(monkeypatch, max_iters):
     # alpha * corr overflows to -inf; the stop test would compare -inf with
@@ -813,9 +812,9 @@ def test_fit_reseeds_empty_buckets_at_the_farthest_segments_under_distance_matri
     sm = make_segments(templates[np.random.default_rng(0).integers(0, 4, size=3000)])
     real, seen = clustering._repair_empty, []
 
-    def repair(segs, feats_t, protos, alpha, idx):
-        out = real(segs, feats_t, protos, alpha, idx)
-        seen.append((protos.copy(), idx.copy(), out[0].copy()))
+    def repair(segs, feats_t, protos, alpha, scored):
+        out = real(segs, feats_t, protos, alpha, scored)
+        seen.append((protos.copy(), scored.idx.copy(), out[0].copy()))
         return out
 
     monkeypatch.setattr(clustering, "_repair_empty", repair)
@@ -878,8 +877,9 @@ def test_loss_evaluation_time_scales_linearly():
 @pytest.mark.parametrize("max_iters, early", [(500, True), (12, False)])
 def test_fit_scores_each_prototype_state_once(monkeypatch, max_iters, early):
     # an early stop has scored its last state already; only a fit that runs
-    # out of iterations scores the state its last step made, after the loop.
-    # `_rescore` scores each state; `_closest_rows` runs only in a repair
+    # out of iterations scores the state its last step made, in one more
+    # pass of its loop. `_rescore` scores each state; `_closest_rows` runs in
+    # no repair, since a re-seed returns a full pass of its own
     sm, _ = _planted_segments(0)
     scorings, closest, in_repairs = [], [], []
     real_rescore, real_closest = clustering._rescore, clustering._closest_rows
