@@ -10,10 +10,14 @@ ones, so drift of the host's speed hits both sides alike. `--workload all`
 runs the three workloads one after another. The JSON on standard output
 has format 1 of the repository's BENCH_*.json files: per workload and
 end-to-end metric, each side's median and quartiles, the number of pairs
-the change won and tied, and every run's value; per side, the calls
-attempted and failed and the environment perfbench recorded, BLAS state
-included. Progress goes to standard error. `notes` is left empty for the
-reader of the numbers to fill in.
+the change won and tied, whether the change's median is worse than the
+parent's by more than BENCHMARK.json's `bound` (`beyond_bound`), and every
+run's value; per side, the calls attempted and failed, the seeds of runs
+whose checks failed, and the environment perfbench recorded, BLAS state
+included. A run that failed a check before measuring reports no metrics:
+its values read null and its pairs count as neither won nor tied.
+Progress goes to standard error. `notes` is left empty for the reader of
+the numbers to fill in.
 """
 
 import argparse
@@ -43,9 +47,27 @@ def parse_run(text: str) -> dict:
     return {"env": env, **result}
 
 
-def _quartiles(values: list) -> dict:
+def _value(run: dict, name: str):
+    """One metric of a run, or None if the run reported none."""
+    entry = run["metrics"].get(name)
+    return None if entry is None else entry["value"]
+
+
+def _quartiles(values: list) -> dict | None:
+    values = [v for v in values if v is not None]
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]} if values else None
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def _beyond_bound(parent: dict | None, change: dict | None, bound: float, lower: bool):
+    """Whether the change's median is worse than the parent's by more than
+    bound, relative to the parent's; None if a side has no value."""
+    if parent is None or change is None:
+        return None
+    worse = change["median"] - parent["median"] if lower else parent["median"] - change["median"]
+    return worse > bound * abs(parent["median"])
 
 
 def summarize(pairs: list, spec: dict) -> dict:
@@ -55,15 +77,18 @@ def summarize(pairs: list, spec: dict) -> dict:
     metrics = {}
     for m in spec["end_to_end"]:
         name, lower = m["name"], m["better"] == "lower"
-        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        values = {side: [_value(r, name) for r in runs[side]] for side in SIDES}
         won = tied = 0
         for old, new in zip(values["parent"], values["change"]):
+            if old is None or new is None:
+                continue
             tied += new == old
             won += new < old if lower else new > old
+        parent, change = (_quartiles(values[side]) for side in SIDES)
         metrics[name] = {
-            "unit": m["unit"], "better": m["better"],
-            **{side: _quartiles(values[side]) for side in SIDES},
-            "change_better_pairs": won, "tied_pairs": tied,
+            "unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
+            "change_better_pairs": won, "tied_pairs": tied, "bound": m["bound"],
+            "beyond_bound": _beyond_bound(parent, change, m["bound"], lower),
             "runs": values,
         }
     return {
@@ -71,6 +96,7 @@ def summarize(pairs: list, spec: dict) -> dict:
         "pairs": len(pairs),
         "first_in_pair": {str(p[0]): p[1] for p in pairs},
         "all_checks_passed": all(r["correct"] for side in SIDES for r in runs[side]),
+        "failed_runs": {side: [p[0] for p in pairs if not p[2][side]["correct"]] for side in SIDES},
         "failed_calls": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "attempted_calls": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
         "metrics": metrics,
@@ -122,8 +148,9 @@ def main(argv=None) -> int:
             results = {}
             for side in order:
                 results[side] = _run(dirs[side], w, seed, args.seconds)
-                value = results[side]["metrics"]["op_ms_p50"]["value"]
-                print(f"{w} seed {seed} {side}: op_ms_p50 {value:.4g}", file=sys.stderr, flush=True)
+                value = _value(results[side], "op_ms_p50")
+                shown = "failed, no metrics" if value is None else f"op_ms_p50 {value:.4g}"
+                print(f"{w} seed {seed} {side}: {shown}", file=sys.stderr, flush=True)
             pairs.append((seed, order[0], results))
         out["workloads"][w] = summarize(pairs, spec)
         for side in SIDES:

@@ -276,6 +276,39 @@ def rms_rows(u: Tensor, gram: Tensor) -> Tensor:
     return _wire(out, (u, gram), bw)
 
 
+def bucket_contexts(q_raw: Tensor, raw: np.ndarray, scale: float) -> Tensor:
+    """Prototype attention's k contexts A^T raw, (..., k, w), in one op.
+
+    A = softmax over the rows axis of S = raw (scale q_raw)^T, for q_raw
+    (k, w) and raw (..., rows, w): each prototype's column of scores is
+    normalized over the segments. S is built as one batched product in
+    (..., rows, k) layout, then max-shifted, exponentiated and divided
+    in place. raw is a constant: it is read where it lies (the entity
+    branch passes a transposed view) and gets no gradient, and only
+    q_raw is a parent of the result.
+    """
+    if q_raw.data.ndim != 2 or raw.ndim < 2 or raw.shape[-1] != q_raw.data.shape[1]:
+        raise ShapeError(
+            f"need q_raw (k, w) and raw (..., rows, w), got {q_raw.data.shape} and {raw.shape}"
+        )
+    a = raw @ (q_raw.data * scale).T  # (..., rows, k)
+    a -= a.max(axis=-2, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-2, keepdims=True)
+    out = Tensor(np.swapaxes(a, -1, -2) @ raw)
+
+    def bw(g):
+        # dS = A (dA - sum_rows(dA A)) with dA = raw g^T, then dq = scale dS^T raw
+        # summed over every batch and row axis, one contraction
+        ds = raw @ np.swapaxes(g, -1, -2)  # (..., rows, k)
+        ds -= (ds * a).sum(axis=-2, keepdims=True)
+        ds *= a
+        axes = tuple(range(raw.ndim - 1))
+        _accum(q_raw, scale * np.tensordot(ds, raw, axes=(axes, axes)))
+
+    return _wire(out, (q_raw,), bw)
+
+
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """out[..., i, :] = a[..., idx[..., i], :] with integer idx in [0, k).
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 # Adam's moment decays and denominator guard, at the values of Kingma & Ba
 # (ICLR 2015) that AdamW keeps (Loshchilov & Hutter, ICLR 2019); no caller
@@ -52,7 +52,9 @@ class AdamW:
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) - lr * wd * theta
 
     lr and wd come from the config; b1, b2 and eps are the module
-    constants BETA1, BETA2 and EPS.
+    constants BETA1, BETA2 and EPS. v tends to g^2, so a step whose g^2
+    is not finite (|g| past ~1.3e154, or NaN) raises NumericalError
+    before it changes anything.
     """
 
     def __init__(self, cfg: OptimizerConfig):
@@ -63,6 +65,12 @@ class AdamW:
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update params in place; iteration order is sorted by name."""
+        for name in params:
+            gmax = float(np.abs(grads[name]).max(initial=0.0))
+            if not math.isfinite(gmax * gmax):  # Python floats: inf, no overflow warning
+                raise NumericalError(
+                    f"squared gradient of '{name}' is not finite (max |g| = {gmax:.3g})"
+                )
         cfg = self.cfg
         self.t += 1
         bc1 = 1.0 - BETA1**self.t

@@ -64,12 +64,13 @@ def bucket_contexts(q_raw: Tensor, raw: np.ndarray, scale: float) -> Tensor:
     """The k bucket contexts softmax(scale q_raw raw^T) raw, (..., k, w).
 
     q_raw (k, w) holds the prototypes' queries in the segments' space and
-    raw (..., rows, w) the segments; each segment reads its prototype's
-    row. Built from autodiff ops, so gradients reach q_raw whenever they
-    are recorded. Costs `kernel_flops_per_row(k, w)` per segment.
+    raw (..., rows, w) the segments; each prototype's scores are
+    normalized over the rows, and each segment reads its prototype's
+    row. One autodiff op, `autodiff.bucket_contexts`: the scores are
+    built in (..., rows, k) layout, and gradients reach q_raw only, never
+    the constant segments. Costs `kernel_flops_per_row(k, w)` per segment.
     """
-    scores = ad.matmul(ad.scale(q_raw, scale), ad.constant(np.swapaxes(raw, -1, -2)))
-    return ad.matmul(ad.softmax(scores), ad.constant(raw))
+    return ad.bucket_contexts(q_raw, raw, scale)
 
 
 def _check_segments(segments, weights):
