@@ -2,9 +2,15 @@
 
 Just the ops the forecaster needs: batched matmul, axis permutation,
 reshape, broadcast-aware arithmetic, sigmoid, last-axis softmax, the
-per-row scale of a factored layer norm, row gather, last-axis concat,
-and full-mean reduction. Every op accepts arbitrary leading batch
-dimensions.
+per-row scale of a factored layer norm, prototype attention's bucket
+contexts, row gather, last-axis concat, and full-mean reduction. Every
+op accepts arbitrary leading batch dimensions.
+
+`bucket_contexts` is the scores, the softmax over the segments and the
+contexts in one op. Its scores are laid out (..., rows, k), so the
+softmax reduces each prototype's column over the rows in one buffer,
+and its backward forms only the queries' gradient in closed form: the
+segments it reads are constants.
 
 A 2-D matmul operand shared across batch axes (a weight) gets its
 gradient from one contraction over the batch and row axes, a single

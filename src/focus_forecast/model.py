@@ -6,9 +6,11 @@ and per time block into one segment per entity. Both cuts hold the same
 once, and the entity branch reads that grid with its N and l axes
 swapped. Both branches call the one prototype-attention kernel,
 `protoattn.bucket_contexts` (separate projection weights, shared input
-embedding), get a residual + layer norm, and are reduced by m readout
-queries. A sigmoid gate blends the branch readouts before the linear
-forecast head.
+embedding), a single autodiff op that normalizes each prototype's
+scores over the rows axis (N in the entity branch, l in the temporal
+one) and differentiates only the queries. Each branch then gets a
+residual + layer norm and is reduced by m readout queries. A sigmoid
+gate blends the branch readouts before the linear forecast head.
 
 The input embedding is linear, so each branch absorbs it, with the key,
 value and output projections, into small weight products (see

@@ -3,15 +3,18 @@
 Instead of attending from every segment (quadratic), attention scores are
 computed once per prototype against the window, and each segment reads
 the context row of its assigned prototype: the broadcast step of
-clustered attention. `bucket_contexts` is the one kernel. The
-forecaster's branches (`model._branch`) and `proto_attention` both call
-it, with or without gradients. Queries and keys are linear maps, so the
-key map folds into a (k, w) query in the segments' own space, and the
-value and output maps are applied to the k context rows before the
-gather, which makes rows of segments sharing a bucket literal copies of
-each other. `full_attention` is the quadratic per-segment self-attention
-that prototype queries approximate; the two agree when every segment
-equals its prototype.
+clustered attention. `bucket_contexts` is the one kernel, and one
+autodiff op (`autodiff.bucket_contexts`): it builds the scores in
+(..., rows, k) layout, normalizes each prototype's column over the
+segments, and differentiates only the queries, since the segments are
+constants. The forecaster's branches (`model._branch`) and
+`proto_attention` both call it, with or without gradients. Queries and
+keys are linear maps, so the key map folds into a (k, w) query in the
+segments' own space, and the value and output maps are applied to the
+k context rows before the gather, which makes rows of segments sharing
+a bucket literal copies of each other. `full_attention` is the quadratic
+per-segment self-attention that prototype queries approximate; the two
+agree when every segment equals its prototype.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ def full_attention(segments: np.ndarray, weights: ProtoAttnWeights) -> np.ndarra
 
 def kernel_flops_per_row(k: int, w: int) -> int:
     """Multiply-adds `bucket_contexts` spends per segment of width w: its
-    column of the (k, rows) scores and its share of the k contexts."""
+    row of the (rows, k) scores and its share of the k contexts."""
     return 2 * k * w
 
 

@@ -306,6 +306,118 @@ def test_rms_rows_rejects_gram_not_matching_last_axis(g_shape):
         ad.rms_rows(Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros(g_shape)))
 
 
+# ------------------------------------------------------ bucket_contexts
+
+
+def _bucket_contexts_reference(q, raw, scale):
+    """The composition bucket_contexts replaced: scale, matmul, last-axis
+    softmax over (..., k, rows) scores, matmul."""
+    scores = ad.matmul(ad.scale(q, scale), ad.constant(np.swapaxes(raw, -1, -2)))
+    return ad.matmul(ad.softmax(scores), ad.constant(raw))
+
+
+def _raw_case(name, rng):
+    """Segments (..., rows, w) in the layouts the model passes, plus edges."""
+    if name == "entity_view":  # the entity branch reads (B, N, l, p) with N and l swapped
+        return rng.standard_normal((2, 3, 5, 4)).transpose(0, 2, 1, 3)
+    shape = {"contiguous": (2, 3, 5, 4), "batch_1": (1, 3, 5, 4), "one_row": (2, 3, 1, 4),
+             "plain_2d": (6, 4)}[name]
+    return rng.standard_normal(shape)
+
+
+RAW_CASES = ["contiguous", "entity_view", "batch_1", "one_row", "plain_2d"]
+
+
+@pytest.mark.parametrize("case", RAW_CASES)
+def test_bucket_contexts_query_grad_matches_central_differences(case):
+    raw = _raw_case(case, np.random.default_rng(11))
+    check_grad(lambda q: ad.bucket_contexts(q, raw, 0.7), (3, 4), seed=12)
+
+
+def _with_grads(op, q, raw, scale, w):
+    qt = Tensor(q.copy(), requires_grad=True)
+    out = op(qt, raw, scale)
+    ad.mean_all(ad.mul(out, ad.constant(w))).backward()
+    return out.data, qt.grad
+
+
+def _assert_rel_close(got, ref, rtol):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", RAW_CASES + ["entity_geometry", "scores_x50", "scores_plus_1000"])
+def test_bucket_contexts_equals_the_op_composition(case):
+    rng = np.random.default_rng(13)
+    scale, k = 0.25, 16
+    if case == "entity_geometry":  # ETTh1's entity branch: (B, l, N, p) view of (B, N, l, p)
+        raw = rng.standard_normal((4, 7, 32, 16)).transpose(0, 2, 1, 3)
+    elif case.startswith("scores"):
+        raw = rng.standard_normal((3, 7, 32, 16))
+    else:
+        raw, k = _raw_case(case, rng), 3
+    q = rng.standard_normal((k, raw.shape[-1]))
+    if case == "scores_x50":
+        q *= 50.0
+    if case == "scores_plus_1000":
+        # a constant feature adds q[j, 0] * scale to every row's score for prototype j
+        raw[..., 0] = 1.0
+        q[:, 0] = 1000.0 / scale
+    w = rng.standard_normal(raw.shape[:-2] + (k, raw.shape[-1]))
+    out, grad = _with_grads(ad.bucket_contexts, q, raw, scale, w)
+    ref_out, ref_grad = _with_grads(_bucket_contexts_reference, q, raw, scale, w)
+    _assert_rel_close(out, ref_out, 1e-12)
+    if case == "one_row":  # a softmax over one row is 1 whatever the query
+        assert not grad.any() and not ref_grad.any()
+    else:
+        _assert_rel_close(grad, ref_grad, 1e-12)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(grad))
+
+
+def test_bucket_contexts_is_shift_invariant_over_the_rows():
+    rng = np.random.default_rng(14)
+    raw = rng.standard_normal((2, 9, 5))
+    raw[..., 0] = 1.0  # q[j, 0] shifts every row's score for prototype j alike
+    q = rng.standard_normal((4, 5))
+    shifted = q.copy()
+    shifted[:, 0] += 1000.0
+    a = ad.bucket_contexts(Tensor(q), raw, 1.0).data
+    b = ad.bucket_contexts(Tensor(shifted), raw, 1.0).data
+    np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["contiguous", "entity_view"])
+def test_bucket_contexts_is_the_same_with_and_without_grad(case):
+    rng = np.random.default_rng(15)
+    raw = _raw_case(case, rng)
+    q = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    with ad.no_grad():
+        plain = ad.bucket_contexts(q, raw, 0.5)
+    recorded = ad.bucket_contexts(q, raw, 0.5)
+    assert np.array_equal(plain.data, recorded.data)
+    assert plain._parents == () and recorded.requires_grad
+
+
+def test_bucket_contexts_graph_holds_no_segments():
+    rng = np.random.default_rng(16)
+    raw = _raw_case("entity_view", rng)
+    q = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    out = ad.bucket_contexts(q, raw, 0.5)
+    assert out._parents == (q,)
+    base = raw.base if raw.base is not None else raw
+    assert not any(np.shares_memory(p.data, base) for p in out._parents)
+    ad.mean_all(out).backward()
+    assert q.grad.shape == (3, 4)
+
+
+@pytest.mark.parametrize("q_shape, raw_shape", [
+    ((3,), (5, 4)), ((1, 3, 4), (5, 4)), ((3, 5), (5, 4)), ((3, 4), (4,)),
+])
+def test_bucket_contexts_rejects_shapes_that_do_not_match(q_shape, raw_shape):
+    with pytest.raises(ShapeError):
+        ad.bucket_contexts(Tensor(np.zeros(q_shape)), np.zeros(raw_shape), 1.0)
+
+
 def test_sigmoid_matches_reference_formula_bitwise():
     x = np.random.default_rng(7).standard_normal(1000) * 20
     ref = np.where(

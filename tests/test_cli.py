@@ -473,6 +473,16 @@ def test_cluster_exits_3_on_a_non_finite_objective(pipeline, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # no overflow warning before the error
+def test_cluster_exits_3_when_the_squared_gradient_overflows(pipeline, tmp_path):
+    out = tmp_path / "big.bin"
+    code, _, err = run(["cluster", "--data", pipeline["data"], "--p", "8", "--k", "4",
+                        "--alpha", "1e160", "--out", str(out)])
+    assert code == 3
+    assert "squared gradient of 'prototypes' is not finite" in err
+    assert not out.exists()
+
+
 BIG = "99999999999999999999"  # past int64: numpy refuses it before allocating anything
 
 

@@ -703,6 +703,29 @@ def test_fit_raises_on_a_non_finite_objective(monkeypatch, max_iters):
     assert len(steps) == 1
 
 
+@pytest.mark.filterwarnings("error")  # no overflow warning before the error
+@pytest.mark.parametrize("alpha", [1e160, 1e200])
+def test_fit_raises_when_the_squared_gradient_overflows(monkeypatch, alpha):
+    # alpha * corr stays finite, but AdamW's second moment would overflow
+    # and every step would be zero, returning the unmoved seeds
+    steps = []
+    real = clustering._objective
+    monkeypatch.setattr(clustering, "_objective", lambda *a: steps.append(1) or real(*a))
+    segs = make_segments(np.random.default_rng(0).standard_normal((200, 8)))
+    with pytest.raises(NumericalError, match="squared gradient of 'prototypes' is not finite"):
+        fit(segs, 2, alpha, max_iters=50)
+    assert len(steps) == 1  # raised before the first step
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_at_alpha_1e150_steps_without_a_warning():
+    segs = make_segments(np.random.default_rng(0).standard_normal((200, 8)))
+    seeds = fit(segs, 2, 1e150, max_iters=0).prototypes
+    out = fit(segs, 2, 1e150, max_iters=50)
+    assert out.fit_meta.iterations == 50 and np.isfinite(out.fit_meta.final_loss)
+    assert not np.array_equal(out.prototypes, seeds)
+
+
 def test_fit_rejects_negative_max_iters_and_accepts_zero():
     segs = make_segments(np.random.default_rng(3).standard_normal((20, 4)))
     with pytest.raises(ConfigError, match="max_iters"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from focus_forecast.errors import ConfigError
+from focus_forecast.errors import ConfigError, NumericalError
 from focus_forecast.optim import EPS, AdamW, OptimizerConfig
 
 
@@ -74,6 +74,30 @@ def test_lr_zero_is_a_no_op():
     p = np.array([1.0, 2.0])
     AdamW(OptimizerConfig(lr=0.0, weight_decay=0.5)).step({"w": p}, {"w": np.ones(2)})
     np.testing.assert_array_equal(p, [1.0, 2.0])
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning before the error
+@pytest.mark.parametrize("bad", [1e160, -1e200, float("inf"), float("nan")])
+def test_step_rejects_a_gradient_whose_square_is_not_finite_and_changes_nothing(bad):
+    # v tends to g^2; past ~1.3e154 it overflows and every later step is zero
+    opt = AdamW(OptimizerConfig(lr=0.1, weight_decay=0.01))
+    a, b = np.array([1.0, 2.0]), np.array([3.0])
+    opt.step({"a": a, "b": b}, {"a": np.array([0.5, -0.5]), "b": np.array([1.0])})
+    before = [a.copy(), b.copy(), opt._m["a"].copy(), opt._v["a"].copy()]
+    with pytest.raises(NumericalError, match="squared gradient of 'b' is not finite"):
+        opt.step({"a": a, "b": b}, {"a": np.array([0.5, -0.5]), "b": np.array([bad])})
+    assert opt.t == 1
+    for now, then in zip([a, b, opt._m["a"], opt._v["a"]], before):
+        np.testing.assert_array_equal(now, then)
+
+
+@pytest.mark.filterwarnings("error")
+def test_step_takes_a_gradient_whose_square_is_finite():
+    # g^2 = 1e306: the first step still moves each coordinate by lr * sign(g)
+    p = np.array([1.0, -1.0])
+    opt = AdamW(OptimizerConfig(lr=0.05, weight_decay=0.0))
+    opt.step({"w": p}, {"w": np.array([1e153, -1e153])})
+    np.testing.assert_allclose(p, [0.95, -0.95], atol=1e-15)
 
 
 @pytest.mark.parametrize(

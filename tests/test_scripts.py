@@ -89,3 +89,78 @@ def test_bench_pairs_rejects_output_without_a_result():
     bp = _module("bench_pairs")
     with pytest.raises(ValueError):
         bp.parse_run("perfbench: no program under src; run from a full checkout\n")
+
+
+def _spec(tmp_path=None):
+    spec = {"run_seconds": 30, "end_to_end": [
+        {"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+        {"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "quality_loss", "unit": "1", "better": "lower", "bound": 0.15},
+    ]}
+    if tmp_path is not None:
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    return spec
+
+
+def test_bench_pairs_marks_metrics_worse_beyond_their_bound():
+    bp = _module("bench_pairs")
+    # change medians: op_ms_p50 +30% (bound 25%), items_per_s -20% (bound 25%),
+    # quality_loss +20% (bound 15%)
+    pairs = [(i, "parent", {"parent": bp.parse_run(_perfbench_output(100.0, 500.0, 1.0)),
+                            "change": bp.parse_run(_perfbench_output(130.0, 400.0, 1.2))})
+             for i in range(3)]
+    got = bp.summarize(pairs, _spec())["metrics"]
+    assert got["op_ms_p50"]["beyond_bound"] is True
+    assert got["items_per_s"]["beyond_bound"] is False
+    assert got["quality_loss"]["beyond_bound"] is True
+    assert [got[n]["bound"] for n in ("op_ms_p50", "items_per_s", "quality_loss")] == [
+        0.25, 0.25, 0.15]
+    # better on every metric is never beyond the bound
+    flipped = [(s, first, {"parent": r["change"], "change": r["parent"]}) for s, first, r in pairs]
+    assert not any(m["beyond_bound"] for m in bp.summarize(flipped, _spec())["metrics"].values())
+
+
+def _failed_output():
+    """A run whose check failed before any call succeeded: no metrics."""
+    env = {"git_sha": "abc", "blas_threads": 2, "seed": 9}
+    return "\n".join([
+        "env " + json.dumps(env),
+        "check infer FAIL: BLAS runs one thread",
+        json.dumps({"correct": False, "attempted": 0, "failed": 0, "metrics": {}}),
+    ])
+
+
+def test_bench_pairs_records_a_run_without_metrics_as_failed(tmp_path, monkeypatch, capsys):
+    bp = _module("bench_pairs")
+    _spec(tmp_path)
+    canned = {("change", 5): _failed_output()}
+
+    def fake_run(checkout, workload, seed, seconds):
+        side = "parent" if checkout == "P" else "change"
+        ms = 100.0 + seed if side == "parent" else 80.0 + seed
+        return bp.parse_run(canned.get((side, seed)) or _perfbench_output(ms, 1e3 / ms, 1.5))
+
+    monkeypatch.setattr(bp, "_run", fake_run)
+    (tmp_path / "P").mkdir()
+    assert bp.main(["P", str(tmp_path), "--workload", "infer", "--pairs", "3", "--seed", "4"]) == 0
+    captured = capsys.readouterr()
+    assert "infer seed 5 change: failed, no metrics" in captured.err
+    got = json.loads(captured.out)["workloads"]["infer"]
+    assert got["all_checks_passed"] is False
+    assert got["failed_runs"] == {"parent": [], "change": [5]}
+    op = got["metrics"]["op_ms_p50"]
+    assert op["runs"] == {"parent": [104.0, 105.0, 106.0], "change": [84.0, None, 86.0]}
+    assert op["change"] == {"median": 85.0, "q1": 84.5, "q3": 85.5}
+    assert (op["change_better_pairs"], op["tied_pairs"]) == (2, 0)
+    assert op["beyond_bound"] is False
+
+
+def test_bench_pairs_beyond_bound_is_null_when_a_side_has_no_value():
+    bp = _module("bench_pairs")
+    pairs = [(1, "parent", {"parent": bp.parse_run(_perfbench_output(100.0, 500.0, 1.0)),
+                            "change": bp.parse_run(_failed_output())})]
+    got = bp.summarize(pairs, _spec())
+    op = got["metrics"]["op_ms_p50"]
+    assert op["change"] is None and op["beyond_bound"] is None
+    assert op["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
+    assert (op["change_better_pairs"], op["tied_pairs"]) == (0, 0)
