@@ -11,7 +11,8 @@ runs the three workloads one after another. The JSON on standard output
 has format 1 of the repository's BENCH_*.json files: per workload and
 end-to-end metric, each side's median and quartiles, the number of pairs
 the change won and tied, whether the change's median is worse than the
-parent's by more than BENCHMARK.json's `bound` (`beyond_bound`), and every
+parent's by more than BENCHMARK.json's `bound` (`beyond_bound`), whether
+the parent's own spread is too wide to tell (`unresolved`), and every
 run's value; per side, the calls attempted and failed, the seeds of runs
 whose checks failed, and the environment perfbench recorded, BLAS state
 included. A run that failed a check before measuring reports no metrics:
@@ -70,6 +71,19 @@ def _beyond_bound(parent: dict | None, change: dict | None, bound: float, lower:
     return worse > bound * abs(parent["median"])
 
 
+def _unresolved(parent: dict | None, values: dict, bound: float, lower: bool):
+    """Whether the parent's quartile spread exceeds bound relative to its
+    median, so no difference within the bound can be told from noise,
+    unless every change run is better than every parent run; None if a
+    side has no value."""
+    old, new = ([v for v in values[side] if v is not None] for side in SIDES)
+    if not old or not new:
+        return None
+    if (max(new) < min(old)) if lower else (min(new) > max(old)):
+        return False
+    return parent["q3"] - parent["q1"] > bound * abs(parent["median"])
+
+
 def summarize(pairs: list, spec: dict) -> dict:
     """One workload's entry of format 1. pairs holds, in pair order,
     (seed, first side, {side: parse_run output}); spec is BENCHMARK.json."""
@@ -89,6 +103,7 @@ def summarize(pairs: list, spec: dict) -> dict:
             "unit": m["unit"], "better": m["better"], "parent": parent, "change": change,
             "change_better_pairs": won, "tied_pairs": tied, "bound": m["bound"],
             "beyond_bound": _beyond_bound(parent, change, m["bound"], lower),
+            "unresolved": _unresolved(parent, values, m["bound"], lower),
             "runs": values,
         }
     return {

@@ -16,7 +16,7 @@ Assignment ranks prototypes by a score, not by their distance. For a
 row s with centred-unit row u, the distance to prototype c (centred-unit
 row v) is ||s||^2 - 2 s.c + ||c||^2 + alpha - alpha u.v. The terms ||s||^2
 and alpha are the same for every prototype, so they cannot move the
-argmin, and `_closest_rows` takes the argmin of
+argmin, and `nearest` and `fit` take the argmin of
 
     score = [s, u] @ [-2 P^T ; -alpha V^T] + ||c||^2,
 
@@ -52,7 +52,7 @@ the first iteration starts from, as if after a step of size zero.
 
 One AdamW step moves the prototypes little, so `fit` scores again only
 the rows a step can move (`_rescore`), and its indices still equal
-`_closest_rows`' bit for bit.
+`nearest`'s bit for bit.
 Write a row's score for prototype j as f.w_j + n_j, with f = [s, u], w_j
 the j-th column of the weights above and n_j = ||c_j||^2. A step moves it
 by f.dw_j + dn_j, at most ||f|| ||dw_j|| + |dn_j| by Cauchy-Schwarz, and
@@ -77,7 +77,7 @@ columns. OpenBLAS can round a gathered row otherwise than the same row
 inside its block (its small-matrix path), but within eps per score, so a
 fresh gap above tau gives the block's index too. A row whose fresh gap is
 not above tau, as at duplicate prototypes or at a midpoint at alpha = 0,
-takes its index from its own block, scored as `_closest_rows` scores it.
+takes its index from its own block, scored as `_full_pass` scores it.
 A re-seed of an empty bucket returns `_full_pass` of the new prototypes,
 and the next iteration rescores from it. An iteration that finds more
 than half the rows at or below tau takes a full pass too, which costs
@@ -239,22 +239,6 @@ def _block_scores(feats_t: np.ndarray, lo: int, hi: int, w: np.ndarray, norms: n
     return d[: hi - lo]
 
 
-def _closest_rows(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> np.ndarray:
-    """Each row's nearest prototype, (n,) int64, from its `_features_t`
-    column; the lowest index wins ties.
-
-    Takes the argmin of the score -2 s.c - alpha u.v + ||c||^2, block by
-    block; see the module docstring. It can differ from the argmin of
-    `distance_matrix` only between prototypes whose distances agree to
-    rounding.
-    """
-    w, norms = _score_terms(protos, alpha)
-    idx = np.empty(feats_t.shape[1], dtype=np.int64)
-    for lo, hi in _blocks(feats_t.shape[1]):
-        idx[lo:hi] = np.argmin(_block_scores(feats_t, lo, hi, w, norms), axis=1)
-    return idx
-
-
 def _best_two(d: np.ndarray):
     """Each row's argmin, the lowest index on ties, and its second-best
     minus best score (inf when k = 1); overwrites d."""
@@ -265,7 +249,8 @@ def _best_two(d: np.ndarray):
     second = d[:, 0].copy()
     for col in d.T[1:]:  # d.min(axis=1) runs numpy's inner loop once per k-wide row
         np.minimum(second, col, out=second)
-    return idx, second - best
+    with np.errstate(over="ignore"):  # a gap past float64 reads inf: the row keeps its index
+        return idx, second - best
 
 
 @dataclass(frozen=True)
@@ -309,7 +294,7 @@ def _scale(w: np.ndarray, norms: np.ndarray) -> tuple[float, float]:
 
 
 def _full_pass(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> _Scoring:
-    """Every row's index and score gap, block by block as in `_closest_rows`."""
+    """Every row's index and score gap, block by block as in `nearest`."""
     w, norms = _score_terms(protos, alpha)
     n = feats_t.shape[1]
     idx, gap = np.empty(n, dtype=np.int64), np.empty(n)
@@ -321,10 +306,11 @@ def _full_pass(feats_t: np.ndarray, protos: np.ndarray, alpha: float) -> _Scorin
 def _rescore(
     feats_t: np.ndarray, fnorm: np.ndarray, protos: np.ndarray, alpha: float, last: _Scoring
 ) -> _Scoring:
-    """`_closest_rows(feats_t, protos, alpha)` bit for bit, with each row's
-    score gap; fnorm is sqrt(||s||^2 + 1) per row. Only the rows whose gap
-    the step since the last scoring may have closed are scored again, unless
-    they are more than half the rows: then `_full_pass` scores every row.
+    """The indices of `_full_pass(feats_t, protos, alpha)` bit for bit,
+    with each row's score gap; fnorm is sqrt(||s||^2 + 1) per row. Only
+    the rows whose gap the step since the last scoring may have closed are
+    scored again, unless they are more than half the rows: then
+    `_full_pass` scores every row.
     """
     n = feats_t.shape[1]
     w, norms = _score_terms(protos, alpha)
@@ -356,14 +342,22 @@ def _sizes(idx: np.ndarray, k: int) -> np.ndarray:
 
 def nearest(segments: np.ndarray, protos: PrototypeSet) -> np.ndarray:
     """Index of each (..., p) segment's nearest prototype under the
-    composite metric, (...) int64; the lowest index wins ties."""
+    composite metric, (...) int64; the lowest index wins ties.
+
+    Takes the argmin of the score -2 s.c - alpha u.v + ||c||^2 over
+    `_blocks` blocks, each scored from its own `_features_t`; see the
+    module docstring. It can differ from the argmin of `distance_matrix`
+    only between prototypes whose distances agree to rounding.
+    """
     segments = np.asarray(segments, dtype=np.float64)
     if segments.shape[-1:] != (protos.p,):
         raise ShapeError(f"segments must be (..., {protos.p}), got {segments.shape}")
     rows = segments.reshape(-1, protos.p)
+    w, norms = _score_terms(protos.prototypes, protos.alpha)
     idx = np.empty(rows.shape[0], dtype=np.int64)
     for lo, hi in _blocks(rows.shape[0]):
-        idx[lo:hi] = _closest_rows(_features_t(rows[lo:hi]), protos.prototypes, protos.alpha)
+        feats = _features_t(rows[lo:hi])
+        idx[lo:hi] = np.argmin(_block_scores(feats, 0, hi - lo, w, norms), axis=1)
     return idx.reshape(segments.shape[:-1])
 
 
@@ -461,7 +455,9 @@ def _seed(feats_t: np.ndarray, sq: np.ndarray, k: int, alpha: float, rng: np.ran
             d[chosen] = -np.inf
             chosen.append(int(np.argmax(d)))
     w, norms = np.concatenate([c[0] for c in cols], axis=1), np.concatenate([c[1] for c in cols])
-    scoring = _Scoring(idx, second - best, w, norms, *_scale(w, norms))
+    with np.errstate(over="ignore"):  # as in `_best_two`
+        gap = second - best
+    scoring = _Scoring(idx, gap, w, norms, *_scale(w, norms))
     return np.ascontiguousarray(feats_t[:p, chosen].T), scoring
 
 

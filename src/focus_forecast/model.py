@@ -5,7 +5,7 @@ and per time block into one segment per entity. Both cuts hold the same
 (N, l) grid of length-p segments, so a forward pass segments and assigns
 once, and the entity branch reads that grid with its N and l axes
 swapped. Both branches call the one prototype-attention kernel,
-`protoattn.bucket_contexts` (separate projection weights, shared input
+`autodiff.bucket_contexts` (separate projection weights, shared input
 embedding), a single autodiff op that normalizes each prototype's
 scores over the rows axis (N in the entity branch, l in the temporal
 one) and differentiates only the queries. Each branch then gets a
@@ -33,7 +33,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .clustering import PrototypeSet, nearest
 from .errors import ConfigError, ShapeError
-from .protoattn import bucket_contexts
 from .util import allocating, require_finite, seed_stream
 
 
@@ -189,7 +188,7 @@ def _branch(params: ModelParams, raw: np.ndarray, idx: np.ndarray, prefix: str) 
     Q (E w_k)^T = (Q w_k^T w_in^T) raw^T, a (k, p) query against raw
     segments, and (S E w_v) w_o = (S raw) (w_in w_v w_o) with the (p, d)
     value map w_val. So the k bucket contexts S raw are p wide; they come
-    from `protoattn.bucket_contexts`, and each segment gathers its
+    from `autodiff.bucket_contexts`, and each segment gathers its
     prototype's context row. The residual sum is then u W, with
     u = [gathered context | raw] (..., rows, 2p) and W = [w_val; w_in]
     (2p, d). Its layer norm is r (u Wc) gain + bias with
@@ -207,7 +206,7 @@ def _branch(params: ModelParams, raw: np.ndarray, idx: np.ndarray, prefix: str) 
         ad.matmul(queries, ad.transpose_last(t[f"{prefix}_wk"])), ad.transpose_last(w_in)
     )  # (k, p)
     w_val = ad.matmul(ad.matmul(w_in, t[f"{prefix}_wv"]), t[f"{prefix}_wo"])  # (p, d)
-    contexts = bucket_contexts(q_raw, raw, 1.0 / np.sqrt(h.d))  # (..., k, p)
+    contexts = ad.bucket_contexts(q_raw, raw, 1.0 / np.sqrt(h.d))  # (..., k, p)
     u = ad.concat_last(ad.gather_rows(contexts, idx), ad.constant(raw))  # (..., rows, 2p)
     w = ad.transpose_last(
         ad.concat_last(ad.transpose_last(w_val), ad.transpose_last(w_in))

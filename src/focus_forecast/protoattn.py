@@ -3,16 +3,17 @@
 Instead of attending from every segment (quadratic), attention scores are
 computed once per prototype against the window, and each segment reads
 the context row of its assigned prototype: the broadcast step of
-clustered attention. `bucket_contexts` is the one kernel, and one
-autodiff op (`autodiff.bucket_contexts`): it builds the scores in
-(..., rows, k) layout, normalizes each prototype's column over the
-segments, and differentiates only the queries, since the segments are
-constants. The forecaster's branches (`model._branch`) and
-`proto_attention` both call it, with or without gradients. Queries and
-keys are linear maps, so the key map folds into a (k, w) query in the
-segments' own space, and the value and output maps are applied to the
-k context rows before the gather, which makes rows of segments sharing
-a bucket literal copies of each other. `full_attention` is the quadratic
+clustered attention. The kernel is one autodiff op,
+`autodiff.bucket_contexts`: it builds the scores in (..., rows, k)
+layout, normalizes each prototype's column over the segments, and
+differentiates only the queries, since the segments are constants. The
+forecaster's branches (`model._branch`) and `proto_attention` both call
+it as `ad.bucket_contexts`, with or without gradients, so a patch of
+that one attribute sees every call of the kernel. Queries and keys are
+linear maps, so the key map folds into a (k, w) query in the segments'
+own space, and the value and output maps are applied to the k context
+rows before the gather, which makes rows of segments sharing a bucket
+literal copies of each other. `full_attention` is the quadratic
 per-segment self-attention that prototype queries approximate; the two
 agree when every segment equals its prototype.
 """
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .clustering import PrototypeSet, nearest
 from .errors import ConfigError, NumericalError, ShapeError
 
@@ -63,19 +63,6 @@ def build_assignment(segments: np.ndarray, protos: PrototypeSet) -> np.ndarray:
     return nearest(segments, protos)
 
 
-def bucket_contexts(q_raw: Tensor, raw: np.ndarray, scale: float) -> Tensor:
-    """The k bucket contexts softmax(scale q_raw raw^T) raw, (..., k, w).
-
-    q_raw (k, w) holds the prototypes' queries in the segments' space and
-    raw (..., rows, w) the segments; each prototype's scores are
-    normalized over the rows, and each segment reads its prototype's
-    row. One autodiff op, `autodiff.bucket_contexts`: the scores are
-    built in (..., rows, k) layout, and gradients reach q_raw only, never
-    the constant segments. Costs `kernel_flops_per_row(k, w)` per segment.
-    """
-    return ad.bucket_contexts(q_raw, raw, scale)
-
-
 def _check_segments(segments, weights):
     d = weights.d
     if segments.ndim != 2 or segments.shape[1] != d:
@@ -93,8 +80,8 @@ def proto_attention(
     segments and protos_emb are embedded, (l, d) / (k, d); indices (l,)
     holds each segment's prototype row in [0, k).
     Scores (P w_e)(S w_k)^T equal q_raw S^T with q_raw = (P w_e) w_k^T,
-    so `bucket_contexts` runs on the segments themselves, and the value
-    and output maps run on its k rows before the gather. Cost is
+    so `autodiff.bucket_contexts` runs on the segments themselves, and
+    the value and output maps run on its k rows before the gather. Cost is
     `count_flops(l, k, d)`; returns (l, d).
     """
     _check_segments(segments, weights)
@@ -108,7 +95,7 @@ def proto_attention(
     if indices.size and (indices.min() < 0 or indices.max() >= k):
         raise ConfigError(f"prototype indices out of range [0, {k})")
     q_raw = (protos_emb @ weights.w_e) @ weights.w_k.T  # (k, d)
-    contexts = bucket_contexts(ad.constant(q_raw), segments, weights.scale).data
+    contexts = ad.bucket_contexts(ad.constant(q_raw), segments, weights.scale).data
     return ((contexts @ weights.w_v) @ weights.w_o)[indices]
 
 
@@ -117,11 +104,11 @@ def full_attention(segments: np.ndarray, weights: ProtoAttnWeights) -> np.ndarra
     segment queries with its own row,
     softmax((S w_e)(S w_k)^T / sqrt(d)) (S w_v) w_o.
 
-    Plain numpy, independent of `bucket_contexts`: an (l, l) softmax over
-    the segments, then the value and output maps on all l rows, at
-    `count_flops_full(l, d)` cost. Where every segment equals its assigned
-    prototype this is proto_attention's function; elsewhere the difference
-    is the error of prototype queries.
+    Plain numpy, independent of `autodiff.bucket_contexts`: an (l, l)
+    softmax over the segments, then the value and output maps on all l
+    rows, at `count_flops_full(l, d)` cost. Where every segment equals its
+    assigned prototype this is proto_attention's function; elsewhere the
+    difference is the error of prototype queries.
     """
     _check_segments(segments, weights)
     q_raw = (segments @ weights.w_e) @ weights.w_k.T  # (l, d)
@@ -132,8 +119,9 @@ def full_attention(segments: np.ndarray, weights: ProtoAttnWeights) -> np.ndarra
 
 
 def kernel_flops_per_row(k: int, w: int) -> int:
-    """Multiply-adds `bucket_contexts` spends per segment of width w: its
-    row of the (rows, k) scores and its share of the k contexts."""
+    """Multiply-adds `autodiff.bucket_contexts` spends per segment of
+    width w: its row of the (rows, k) scores and its share of the k
+    contexts."""
     return 2 * k * w
 
 

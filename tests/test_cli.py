@@ -483,6 +483,20 @@ def test_cluster_exits_3_when_the_squared_gradient_overflows(pipeline, tmp_path)
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # no overflow warning before the error
+def test_cluster_exits_3_when_the_score_gap_overflows(tmp_path):
+    # on these random rows at k=2 a row's second-best minus best score
+    # passes float64 before AdamW ends the fit
+    data, out = tmp_path / "rand.csv", tmp_path / "big.bin"
+    rows = np.random.default_rng(0).standard_normal((400, 3))
+    np.savetxt(data, rows, delimiter=",", header="a,b,c", comments="")
+    code, _, err = run(["cluster", "--data", str(data), "--p", "8", "--k", "2",
+                        "--alpha", "1e308", "--out", str(out)])
+    assert code == 3
+    assert "is not finite" in err
+    assert not out.exists()
+
+
 BIG = "99999999999999999999"  # past int64: numpy refuses it before allocating anything
 
 

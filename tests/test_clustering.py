@@ -182,8 +182,25 @@ def test_closest_rows_equals_argmin_of_the_full_distance_matrix(n, k, p):
     protos = rng.standard_normal((k, p))
     want = np.argmin(distance_matrix(segs, protos, 0.2), axis=1)
     feats = clustering._features_t(segs)
-    assert np.array_equal(clustering._closest_rows(feats, protos, 0.2), want)
+    assert np.array_equal(clustering._full_pass(feats, protos, 0.2).idx, want)
     assert np.array_equal(nearest(segs, PrototypeSet(protos, 0.2)), want)
+
+
+def test_nearest_of_no_segments_is_empty():
+    protos = PrototypeSet(np.random.default_rng(0).standard_normal((3, 4)), 0.2)
+    for shape in ((0, 4), (3, 0, 4)):
+        got = nearest(np.zeros(shape), protos)
+        assert got.dtype == np.int64 and got.shape == shape[:-1]
+
+
+def test_nearest_builds_the_score_terms_once(monkeypatch):
+    # 6,145 rows are four blocks, each scored against the same weights
+    calls = []
+    real = clustering._score_terms
+    monkeypatch.setattr(clustering, "_score_terms", lambda *a: calls.append(1) or real(*a))
+    rng = np.random.default_rng(5)
+    nearest(rng.standard_normal((6145, 4)), PrototypeSet(rng.standard_normal((3, 4)), 0.2))
+    assert len(clustering._blocks(6145)) == 4 and len(calls) == 1
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.2])
@@ -195,13 +212,13 @@ def test_fit_and_nearest_features_choose_the_same_indices(n, alpha):
     whole = clustering._features_t(segs)
     for lo, hi in clustering._blocks(n):
         assert whole[:, lo:hi].tobytes() == clustering._features_t(segs[lo:hi]).tobytes()
-    got = clustering._closest_rows(whole, protos, alpha)
+    got = clustering._full_pass(whole, protos, alpha).idx
     assert got.tobytes() == nearest(segs, PrototypeSet(protos, alpha)).tobytes()
 
 
 def _check_each_scoring(monkeypatch):
-    """Make every `_rescore` call assert that its indices equal a full
-    `_closest_rows` pass bit for bit; returns, per call, whether it scored
+    """Make every `_rescore` call assert that its indices equal `nearest`'s
+    bit for bit; returns, per call, whether it scored
     every row and how many rows its bound kept from the last scoring."""
     real, real_full, seen, passes = clustering._rescore, clustering._full_pass, [], []
 
@@ -213,7 +230,8 @@ def _check_each_scoring(monkeypatch):
         assert isinstance(last, clustering._Scoring)
         before = len(passes)
         out = real(feats_t, fnorm, protos, alpha, last)
-        assert out.idx.tobytes() == clustering._closest_rows(feats_t, protos, alpha).tobytes()
+        segs = feats_t[: feats_t.shape[0] // 2].T
+        assert out.idx.tobytes() == nearest(segs, PrototypeSet(protos.copy(), alpha)).tobytes()
         w_max, norm_max = max(out.w_max, last.w_max), max(out.norm_max, last.norm_max)
         gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, w_max, norm_max)
         seen.append((len(passes) > before, int((gap > tau).sum())))
@@ -327,7 +345,7 @@ def test_rescore_takes_the_block_index_at_near_ties():
         feats = clustering._features_t(np.concatenate([near, rng.standard_normal((3000, p))]))
         alpha = float(rng.choice([0.0, 0.2]))
         fnorm = _fnorm(feats)
-        want = clustering._closest_rows(feats, protos, alpha).tobytes()
+        want = clustering._full_pass(feats, protos, alpha).idx.tobytes()
         last = clustering._full_pass(feats, protos, alpha)
         assert np.all(last.gap[:m] == 0.0)
         for _ in range(2):
@@ -363,7 +381,7 @@ def test_rows_the_bound_skips_keep_their_full_pass_index(seed, n, k, p, alpha, l
     last = clustering._full_pass(feats, protos, alpha)
     moved = protos + 10.0**log_move * rng.standard_normal((k, p))
     out = clustering._rescore(feats, fnorm, moved, alpha, last)
-    want = clustering._closest_rows(feats, moved, alpha)
+    want = nearest(segs, PrototypeSet(moved.copy(), alpha))
     w_max, norm_max = max(out.w_max, last.w_max), max(out.norm_max, last.norm_max)
     gap, tau = clustering._decayed_gaps(last, fnorm, out.w, out.norms, w_max, norm_max)
     skipped = gap > tau
@@ -412,7 +430,7 @@ def test_rescore_from_the_seeds_scoring_equals_a_full_pass(case, alpha):
     protos, seeded = clustering._seed(feats, sq, k, alpha, np.random.default_rng(0))
     w, norms = clustering._score_terms(protos, alpha)
     assert seeded.w.tobytes() == w.tobytes() and seeded.norms.tobytes() == norms.tobytes()
-    want = clustering._closest_rows(feats, protos, alpha)
+    want = nearest(segs, PrototypeSet(protos.copy(), alpha))
     fnorm = np.sqrt(sq + 1.0)
     gap, tau = clustering._decayed_gaps(seeded, fnorm, w, norms, seeded.w_max, seeded.norm_max)
     full = clustering._full_pass(feats, protos, alpha)
@@ -717,6 +735,16 @@ def test_fit_raises_when_the_squared_gradient_overflows(monkeypatch, alpha):
     assert len(steps) == 1  # raised before the first step
 
 
+@pytest.mark.filterwarnings("error")  # no overflow warning before the error
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_raises_when_the_score_gap_overflows(seed):
+    # at k=2 a row's second-best minus best score passes float64: the gap
+    # reads inf and the row keeps its index until AdamW ends the fit
+    segs = make_segments(np.random.default_rng(seed).standard_normal((200, 8)))
+    with pytest.raises(NumericalError, match="squared gradient of 'prototypes' is not finite"):
+        fit(segs, 2, 1e308, max_iters=50)
+
+
 @pytest.mark.filterwarnings("error")
 def test_fit_at_alpha_1e150_steps_without_a_warning():
     segs = make_segments(np.random.default_rng(0).standard_normal((200, 8)))
@@ -901,11 +929,11 @@ def test_loss_evaluation_time_scales_linearly():
 def test_fit_scores_each_prototype_state_once(monkeypatch, max_iters, early):
     # an early stop has scored its last state already; only a fit that runs
     # out of iterations scores the state its last step made, in one more
-    # pass of its loop. `_rescore` scores each state; `_closest_rows` runs in
-    # no repair, since a re-seed returns a full pass of its own
+    # pass of its loop. `_rescore` scores each state; `nearest` runs in no
+    # repair, since a re-seed returns a full pass of its own
     sm, _ = _planted_segments(0)
     scorings, closest, in_repairs = [], [], []
-    real_rescore, real_closest = clustering._rescore, clustering._closest_rows
+    real_rescore, real_closest = clustering._rescore, clustering.nearest
     real_repair = clustering._repair_empty
 
     def repair(*a):
@@ -915,7 +943,7 @@ def test_fit_scores_each_prototype_state_once(monkeypatch, max_iters, early):
         return out
 
     monkeypatch.setattr(clustering, "_rescore", lambda *a: scorings.append(1) or real_rescore(*a))
-    monkeypatch.setattr(clustering, "_closest_rows", lambda *a: closest.append(1) or real_closest(*a))
+    monkeypatch.setattr(clustering, "nearest", lambda *a: closest.append(1) or real_closest(*a))
     monkeypatch.setattr(clustering, "_repair_empty", repair)
     iters = fit(sm, 4, 0.2, max_iters=max_iters, seed=0).fit_meta.iterations
     assert (iters < max_iters) == early

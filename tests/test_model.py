@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from focus_forecast import autodiff as ad
 from focus_forecast import protoattn
 from focus_forecast import model as model_module
 from focus_forecast.autodiff import Tensor, no_grad
@@ -159,6 +160,7 @@ def test_forward_shape_and_determinism():
     assert out.shape == (5, HYPER.horizon, HYPER.n_entities)
     np.testing.assert_array_equal(out.data, forward(params, x).data)
     np.testing.assert_array_equal(out.data, predict(params, x))
+    assert predict(params, x[:0]).shape == (0, HYPER.horizon, HYPER.n_entities)
 
 
 def test_branch_feature_shapes():
@@ -182,15 +184,14 @@ def test_forward_assigns_segments_once(monkeypatch):
 
 
 def test_forward_and_proto_attention_run_the_one_kernel(monkeypatch):
-    kernel = protoattn.bucket_contexts
+    kernel = ad.bucket_contexts
     calls = []
 
     def counting(q_raw, raw, scale):
         calls.append(raw.shape)
         return kernel(q_raw, raw, scale)
 
-    monkeypatch.setattr(model_module, "bucket_contexts", counting)
-    monkeypatch.setattr(protoattn, "bucket_contexts", counting)
+    monkeypatch.setattr(ad, "bucket_contexts", counting)
     x = np.random.default_rng(14).standard_normal((2, HYPER.lookback, HYPER.n_entities))
     forward(make_params(), x)
     n, l, p = HYPER.n_entities, HYPER.l, HYPER.p

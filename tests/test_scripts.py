@@ -164,3 +164,30 @@ def test_bench_pairs_beyond_bound_is_null_when_a_side_has_no_value():
     assert op["change"] is None and op["beyond_bound"] is None
     assert op["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
     assert (op["change_better_pairs"], op["tied_pairs"]) == (0, 0)
+
+
+def test_bench_pairs_marks_a_parent_spread_wider_than_the_bound_unresolved():
+    bp = _module("bench_pairs")
+
+    def pairs(old, new):
+        return [(i, "parent", {"parent": bp.parse_run(_perfbench_output(a, 1e3 / a, 1.0)),
+                               "change": bp.parse_run(_perfbench_output(b, 1e3 / b, 1.0))})
+                for i, (a, b) in enumerate(zip(old, new))]
+
+    # a bimodal parent: quartiles 50 and 90 about a median of 70, a spread
+    # of 57% against op_ms_p50's 25% bound
+    bimodal = [40.0, 50.0, 50.0, 90.0, 90.0, 100.0]
+    got = bp.summarize(pairs(bimodal, [80.0, 60.0, 85.0, 70.0, 95.0, 45.0]), _spec())["metrics"]
+    assert got["op_ms_p50"]["unresolved"] is True and got["items_per_s"]["unresolved"] is True
+    assert got["quality_loss"]["unresolved"] is False  # every run reads 1.0
+    # every change run better than every parent run resolves it
+    got = bp.summarize(pairs(bimodal, [30.0, 35.0, 20.0, 25.0, 38.0, 39.0]), _spec())["metrics"]
+    assert got["op_ms_p50"]["unresolved"] is False and got["items_per_s"]["unresolved"] is False
+    # a tight parent is resolved, whichever side is better
+    tight = [100.0, 101.0, 102.0, 99.0, 100.0, 101.0]
+    got = bp.summarize(pairs(tight, [130.0] * 6), _spec())["metrics"]
+    assert got["op_ms_p50"]["unresolved"] is False and got["op_ms_p50"]["beyond_bound"] is True
+    # null when a side has no value
+    failed = [(1, "parent", {"parent": bp.parse_run(_perfbench_output(100.0, 10.0, 1.0)),
+                             "change": bp.parse_run(_failed_output())})]
+    assert bp.summarize(failed, _spec())["metrics"]["op_ms_p50"]["unresolved"] is None
