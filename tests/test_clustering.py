@@ -218,8 +218,8 @@ def test_fit_and_nearest_features_choose_the_same_indices(n, alpha):
 
 def _check_each_scoring(monkeypatch):
     """Make every `_rescore` call assert that its indices equal `nearest`'s
-    bit for bit; returns, per call, whether it scored
-    every row and how many rows its bound kept from the last scoring."""
+    bit for bit; returns, per call, whether it scored every row and how
+    many rows its bound kept from the last scoring."""
     real, real_full, seen, passes = clustering._rescore, clustering._full_pass, [], []
 
     def full_pass(*args):
