@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from focus_forecast import autodiff as ad
+from focus_forecast.autodiff import Tensor
 from focus_forecast.clustering import PrototypeSet
 from focus_forecast.errors import ConfigError, ShapeError
 from focus_forecast.protoattn import (
@@ -119,6 +121,28 @@ def test_kernel_output_shape_and_purity():
     assert out.shape == (7, 5)
     np.testing.assert_array_equal(segs, before)
     np.testing.assert_array_equal(out, proto_attention(segs, idx, protos_emb, w))
+
+
+def test_kernel_is_one_op_that_builds_no_segment_gradient(monkeypatch):
+    # the kernel's scores, softmax and contexts are one autodiff op, so
+    # proto_attention, and a forward and backward through the op, call
+    # none of the ops it replaced
+    rng = np.random.default_rng(8)
+    segs, idx, protos_emb, w = _kernel_case(rng, l=6, k=3, d=5)
+    expected = proto_attention(segs, idx, protos_emb, w)
+
+    def forbidden(*args):
+        raise AssertionError("bucket_contexts called a composed op")
+
+    for name in ("softmax", "scale", "matmul"):
+        monkeypatch.setattr(ad, name, forbidden)
+    np.testing.assert_array_equal(proto_attention(segs, idx, protos_emb, w), expected)
+    raw = rng.standard_normal((2, 6, 3, 5)).transpose(0, 2, 1, 3)
+    q = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+    out = ad.bucket_contexts(q, raw, 0.5)
+    assert out.shape == (2, 3, 4, 5) and out._parents == (q,)
+    ad.mean_all(out).backward()
+    assert q.grad.shape == (4, 5)
 
 
 def test_kernel_rejects_mismatched_shapes():
